@@ -78,7 +78,7 @@ impl<T> Published<T> {
 /// caches use for their set index (`(hash >> 16) & mask`), so sharding
 /// stays decorrelated from set selection: keys that would collide in
 /// one cache's set do not all land in one shard, and vice versa.
-pub struct ShardedCache<K, V> {
+pub(crate) struct ShardedCache<K, V> {
     shards: Vec<Mutex<SoftCache<K, V>>>,
     mask: u32,
     hash: Arc<dyn Fn(&K) -> u32 + Send + Sync>,
@@ -88,7 +88,7 @@ pub struct ShardedCache<K, V> {
 impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
     /// `num_shards` (rounded up to a power of two, min 1) inner caches,
     /// each of `num_sets × assoc` geometry, indexed by `hash`.
-    pub fn new(
+    pub(crate) fn new(
         num_shards: usize,
         num_sets: usize,
         assoc: usize,
@@ -119,50 +119,23 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
     }
 
     /// Look up `key` (one shard lock).
-    pub fn get(&self, key: &K) -> Option<V> {
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
         self.shard(key).lock().get(key)
     }
 
     /// Insert `key → value` (one shard lock).
-    pub fn insert(&self, key: K, value: V) -> Option<(K, V)> {
+    pub(crate) fn insert(&self, key: K, value: V) -> Option<(K, V)> {
         self.shard(&key).lock().insert(key, value)
     }
 
     /// Remove `key` if present (one shard lock).
-    pub fn invalidate(&self, key: &K) -> Option<V> {
+    pub(crate) fn invalidate(&self, key: &K) -> Option<V> {
         self.shard(key).lock().invalidate(key)
     }
 
-    /// Drop every entry in every shard.
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().clear();
-        }
-    }
-
     /// Aggregate statistics across all shards — lock-free.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats.snapshot()
-    }
-
-    /// The shared live counter handle.
-    pub fn stats_handle(&self) -> Arc<AtomicCacheStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total live entries (locks each shard briefly; control-plane use).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// True when every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -289,7 +262,7 @@ mod tests {
     fn sharded_cache_roundtrip_and_shared_stats() {
         let c: ShardedCache<u64, u64> =
             ShardedCache::new(4, 8, 1, |k: &u64| crc32(&k.to_be_bytes()));
-        assert_eq!(c.num_shards(), 4);
+        assert_eq!(c.shards.len(), 4);
         for k in 0..32u64 {
             assert_eq!(c.get(&k), None);
             c.insert(k, k * 10);
@@ -302,19 +275,19 @@ mod tests {
         assert_eq!(s.misses(), 32);
         assert_eq!(s.insertions, 32);
         assert_eq!(s.lookups(), s.hits + s.misses(), "coherence");
-        assert_eq!(c.len(), 32);
+        let live =
+            |c: &ShardedCache<u64, u64>| -> usize { c.shards.iter().map(|s| s.lock().len()).sum() };
+        assert_eq!(live(&c), 32);
         c.invalidate(&0);
-        assert_eq!(c.len(), 31);
-        c.clear();
-        assert!(c.is_empty());
+        assert_eq!(live(&c), 31);
     }
 
     #[test]
     fn sharded_cache_rounds_shards_to_power_of_two() {
         let c: ShardedCache<u64, u64> = ShardedCache::new(3, 4, 1, |_| 0);
-        assert_eq!(c.num_shards(), 4);
+        assert_eq!(c.shards.len(), 4);
         let c: ShardedCache<u64, u64> = ShardedCache::new(0, 4, 1, |_| 0);
-        assert_eq!(c.num_shards(), 1);
+        assert_eq!(c.shards.len(), 1);
     }
 
     /// A directory that counts fetches, to prove single-upcall-per-peer.

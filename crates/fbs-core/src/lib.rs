@@ -42,14 +42,13 @@ pub mod protocol;
 pub mod replay;
 pub mod retry;
 pub mod ring;
-pub mod sealer;
 pub mod sfl;
 
 pub use batchauth::{BatchVerifier, ResolveStats};
 pub use breaker::{Allow, BreakerConfig, BreakerState, CircuitBreaker, Transition};
 pub use cache::{AtomicCacheStats, CacheStats, Lookup, MissKind, SoftCache};
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use concurrent::{KeyingService, Published, ShardedCache};
+pub use concurrent::{KeyingService, Published};
 pub use error::{FbsError, Result, RuntimeError};
 pub use fam::{Classification, Fam, FlowPolicy, FlowRecord, FstEntry, KeyUnavailableVerdict};
 pub use fault::WorkerFaultInjector;
@@ -67,5 +66,4 @@ pub use protocol::{
 pub use replay::FreshnessWindow;
 pub use retry::{RetryOutcome, RetryPolicy};
 pub use ring::SpscRing;
-pub use sealer::{OpenJob, ParallelSealer, SealJob, SealerStats};
 pub use sfl::SflAllocator;

@@ -8,9 +8,9 @@
 //! demonstrating that the protocol is genuinely layer-independent.
 
 use crate::error::{NetError, Result};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::collections::HashMap;
 use std::net::UdpSocket;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -49,7 +49,7 @@ impl Hub {
 
     /// Register an endpoint named `name`.
     pub fn endpoint(self: &Arc<Self>, name: &str) -> HubTransport {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.peers.lock().unwrap().insert(name.to_string(), tx);
         HubTransport {
             hub: Arc::clone(self),
@@ -87,7 +87,7 @@ impl DatagramTransport for HubTransport {
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<(String, Vec<u8>)>> {
         match self.rx.recv_timeout(timeout) {
             Ok(v) => Ok(Some(v)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(e) => Err(NetError::Io(e.to_string())),
         }
     }
