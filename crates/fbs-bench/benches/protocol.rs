@@ -11,6 +11,7 @@ use fbs_core::policy::IdleTimeoutPolicy;
 use fbs_core::{Datagram, FbsConfig};
 use fbs_core::{Fam, FlowKey, SealedFlowKey, SflAllocator};
 use fbs_crypto::dh::DhGroup;
+use fbs_crypto::CipherSuite;
 use fbs_ip::CombinedTable;
 use std::sync::Arc;
 
@@ -79,18 +80,20 @@ fn bench_lookup_paths(c: &mut Criterion) {
     let mut combined = CombinedTable::new(64, 600, SflAllocator::new(1));
     combined
         .lookup(tuple, 0, |sfl| {
-            Ok::<_, ()>(Arc::new(SealedFlowKey::seal(FlowKey(
-                sfl.to_be_bytes().repeat(2),
-            ))))
+            Ok::<_, ()>(Arc::new(SealedFlowKey::seal(
+                FlowKey(sfl.to_be_bytes().repeat(2)),
+                CipherSuite::Paper,
+            )))
         })
         .unwrap();
     g.bench_function("combined-fst-tfkc", |b| {
         b.iter(|| {
             combined
                 .lookup(black_box(tuple), 1, |sfl| {
-                    Ok::<_, ()>(Arc::new(SealedFlowKey::seal(FlowKey(
-                        sfl.to_be_bytes().repeat(2),
-                    ))))
+                    Ok::<_, ()>(Arc::new(SealedFlowKey::seal(
+                        FlowKey(sfl.to_be_bytes().repeat(2)),
+                        CipherSuite::Paper,
+                    )))
                 })
                 .unwrap()
         })
@@ -118,9 +121,8 @@ fn bench_header_codec(c: &mut Criterion) {
         sfl: 0x0102030405060708,
         confounder: 0xDEADBEEF,
         timestamp: 123456,
-        mac_alg: fbs_crypto::MacAlgorithm::KeyedMd5,
-        enc_alg: fbs_core::EncAlgorithm::DesCbc,
-        suite: fbs_crypto::CipherSuite::Paper,
+        secret: true,
+        suite: CipherSuite::Paper,
         plaintext_len: 1460,
         mac: vec![0xAB; 16],
     };

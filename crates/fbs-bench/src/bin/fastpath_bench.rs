@@ -104,7 +104,13 @@ fn main() {
             ]
             .concat(),
         );
-        rows.push([vec![format!("suite {} open", s.suite.name())], fmt(&s.open_pooled)].concat());
+        rows.push(
+            [
+                vec![format!("suite {} open", s.suite.name())],
+                fmt(&s.open_pooled),
+            ]
+            .concat(),
+        );
     }
     emit(
         &format!(

@@ -4,9 +4,9 @@
 //! 64-bit *sfl*, 32-bit confounder, 32-bit minute timestamp, 128-bit MAC
 //! (for MD5). On top of the four core fields, the paper says "for
 //! generality, the security flow header should also include an algorithm
-//! identification field" — we include one (MAC algorithm, encryption
-//! algorithm, MAC length) plus an explicit plaintext length so block-cipher
-//! zero padding can be trimmed without consulting higher layers.
+//! identification field" — we include one (the algorithm-ID word) plus an
+//! explicit plaintext length so block-cipher zero padding can be trimmed
+//! without consulting higher layers.
 //!
 //! ```text
 //!  0               8               16              24            31
@@ -17,7 +17,8 @@
 //! +---------------------------------------------------------------+
 //! |            timestamp (minutes since FBS epoch), 32 bits       |
 //! +---------------+---------------+---------------+---------------+
-//! |   mac alg id  |   enc alg id  |    mac len    |   suite id    |
+//! |  suite's MAC  | suite's cipher|    mac len    |   suite id    |
+//! |      id       | id, 0 = clear |               |               |
 //! +---------------+---------------+---------------+---------------+
 //! |                  plaintext length, 32 bits                    |
 //! +---------------------------------------------------------------+
@@ -25,104 +26,21 @@
 //! +---------------------------------------------------------------+
 //! ```
 //!
-//! Byte 19 (formerly reserved-zero) carries the [`CipherSuite`] id. The
-//! paper-faithful suite is id 0, so paper-profile frames are bit-identical
-//! to the pre-suite wire format.
+//! Byte 19 (formerly reserved-zero) carries the [`CipherSuite`] id, and
+//! bytes 16 and 17 follow from it and the datagram's `secret` flag (see
+//! [`CipherSuite::alg_word`]): a header whose bytes 16/17 name anything
+//! else does not parse. The paper-faithful suite is id 0 with MAC id 0 and
+//! cipher id 1, so paper-profile frames are bit-identical to the
+//! pre-suite wire format.
 
 use crate::error::{FbsError, Result};
-use fbs_crypto::{CipherSuite, DesMode, MacAlgorithm};
+use fbs_crypto::CipherSuite;
 
 /// Fixed-size prefix length (everything before the variable-length MAC).
 pub const FIXED_PREFIX_LEN: usize = 24;
 
 /// Header length with the paper's MD5 MAC (24 + 16).
 pub const HEADER_LEN_MD5: usize = FIXED_PREFIX_LEN + 16;
-
-/// Encryption algorithm selector for the algorithm-ID field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum EncAlgorithm {
-    /// No confidentiality: body travels in the clear, MAC only.
-    #[default]
-    None,
-    /// DES in CBC mode — the paper's implementation choice (§7.2).
-    DesCbc,
-    /// DES in ECB mode with confounder whitening (§5.2).
-    DesEcb,
-    /// DES in 64-bit CFB mode.
-    DesCfb,
-    /// DES in 64-bit OFB mode.
-    DesOfb,
-    /// Triple DES (EDE2) in CBC mode — the stronger-cipher option the
-    /// algorithm-ID field exists to enable (CryptoLib shipped 3DES too).
-    TdeaCbc,
-    /// DES in counter mode, keystream generated 4 blocks at a time through
-    /// the word-sliced core — the fast-profile cipher. Stream mode: no
-    /// padding, wire body length equals plaintext length.
-    DesCtr,
-    /// ChaCha20 stream cipher (RFC 8439) — the AEAD-profile cipher.
-    ChaCha20,
-}
-
-impl EncAlgorithm {
-    /// Wire identifier.
-    pub fn wire_id(self) -> u8 {
-        match self {
-            EncAlgorithm::None => 0,
-            EncAlgorithm::DesCbc => 1,
-            EncAlgorithm::DesEcb => 2,
-            EncAlgorithm::DesCfb => 3,
-            EncAlgorithm::DesOfb => 4,
-            EncAlgorithm::TdeaCbc => 5,
-            EncAlgorithm::DesCtr => 6,
-            EncAlgorithm::ChaCha20 => 7,
-        }
-    }
-
-    /// Inverse of [`wire_id`](Self::wire_id).
-    pub fn from_wire_id(id: u8) -> Option<Self> {
-        Some(match id {
-            0 => EncAlgorithm::None,
-            1 => EncAlgorithm::DesCbc,
-            2 => EncAlgorithm::DesEcb,
-            3 => EncAlgorithm::DesCfb,
-            4 => EncAlgorithm::DesOfb,
-            5 => EncAlgorithm::TdeaCbc,
-            6 => EncAlgorithm::DesCtr,
-            7 => EncAlgorithm::ChaCha20,
-            _ => return None,
-        })
-    }
-
-    /// The FIPS 81 mode, if this algorithm encrypts *as a block cipher*.
-    /// `None` for [`EncAlgorithm::None`] and for the stream algorithms,
-    /// which the suite dispatch handles before this is consulted.
-    pub fn des_mode(self) -> Option<DesMode> {
-        match self {
-            EncAlgorithm::None | EncAlgorithm::DesCtr | EncAlgorithm::ChaCha20 => None,
-            EncAlgorithm::DesCbc | EncAlgorithm::TdeaCbc => Some(DesMode::Cbc),
-            EncAlgorithm::DesEcb => Some(DesMode::Ecb),
-            EncAlgorithm::DesCfb => Some(DesMode::Cfb),
-            EncAlgorithm::DesOfb => Some(DesMode::Ofb),
-        }
-    }
-
-    /// True for stream algorithms: no padding, wire body length equals
-    /// plaintext length.
-    pub fn is_stream(self) -> bool {
-        matches!(self, EncAlgorithm::DesCtr | EncAlgorithm::ChaCha20)
-    }
-
-    /// True when the cipher is Triple DES rather than single DES.
-    pub fn is_triple(self) -> bool {
-        self == EncAlgorithm::TdeaCbc
-    }
-
-    /// True when the body is encrypted (the `secret` flag of Fig. 4, read
-    /// back from the header on the receive side).
-    pub fn is_secret(self) -> bool {
-        self != EncAlgorithm::None
-    }
-}
 
 /// The FBS security flow header.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -135,14 +53,13 @@ pub struct SecurityFlowHeader {
     pub confounder: u32,
     /// Minutes since the FBS epoch; replay freshness check input.
     pub timestamp: u32,
-    /// MAC algorithm (algorithm-ID field).
-    pub mac_alg: MacAlgorithm,
-    /// Encryption algorithm (algorithm-ID field); `None` ⇒ MAC-only.
-    pub enc_alg: EncAlgorithm,
+    /// The `secret` flag of Fig. 4: the body is encrypted under the
+    /// suite's cipher (header byte 17 non-zero).
+    pub secret: bool,
     /// Crypto-plane profile (header byte 19; 0 = paper-faithful).
     pub suite: CipherSuite,
     /// Plaintext body length before padding (equal to body length when
-    /// `enc_alg` is `None`).
+    /// the body travels in the clear).
     pub plaintext_len: u32,
     /// The keyed MAC over confounder | timestamp | payload (§5.2). Possibly
     /// truncated (§5.3 allows truncation to save header bytes).
@@ -166,10 +83,7 @@ impl SecurityFlowHeader {
         out.extend_from_slice(&self.sfl.to_be_bytes());
         out.extend_from_slice(&self.confounder.to_be_bytes());
         out.extend_from_slice(&self.timestamp.to_be_bytes());
-        out.push(self.mac_alg.wire_id());
-        out.push(self.enc_alg.wire_id());
-        out.push(self.mac.len() as u8);
-        out.push(self.suite.wire_id());
+        out.extend_from_slice(&self.view().alg_word());
         out.extend_from_slice(&self.plaintext_len.to_be_bytes());
         out.extend_from_slice(&self.mac);
         out
@@ -182,8 +96,7 @@ impl SecurityFlowHeader {
             sfl: self.sfl,
             confounder: self.confounder,
             timestamp: self.timestamp,
-            mac_alg: self.mac_alg,
-            enc_alg: self.enc_alg,
+            secret: self.secret,
             suite: self.suite,
             plaintext_len: self.plaintext_len,
             mac: &self.mac,
@@ -199,8 +112,7 @@ impl SecurityFlowHeader {
                 sfl: view.sfl,
                 confounder: view.confounder,
                 timestamp: view.timestamp,
-                mac_alg: view.mac_alg,
-                enc_alg: view.enc_alg,
+                secret: view.secret,
                 suite: view.suite,
                 plaintext_len: view.plaintext_len,
                 mac: view.mac.to_vec(),
@@ -222,10 +134,8 @@ pub struct HeaderView<'a> {
     pub confounder: u32,
     /// Minutes since the FBS epoch.
     pub timestamp: u32,
-    /// MAC algorithm.
-    pub mac_alg: MacAlgorithm,
-    /// Encryption algorithm.
-    pub enc_alg: EncAlgorithm,
+    /// The body is encrypted under the suite's cipher.
+    pub secret: bool,
     /// Crypto-plane profile (header byte 19; 0 = paper-faithful).
     pub suite: CipherSuite,
     /// Plaintext body length before padding.
@@ -244,16 +154,12 @@ impl<'a> HeaderView<'a> {
         let sfl = u64::from_be_bytes(buf[0..8].try_into().unwrap());
         let confounder = u32::from_be_bytes(buf[8..12].try_into().unwrap());
         let timestamp = u32::from_be_bytes(buf[12..16].try_into().unwrap());
-        let mac_alg =
-            MacAlgorithm::from_wire_id(buf[16]).ok_or(FbsError::UnknownAlgorithm(buf[16]))?;
-        let enc_alg =
-            EncAlgorithm::from_wire_id(buf[17]).ok_or(FbsError::UnknownAlgorithm(buf[17]))?;
+        let (suite, secret) = CipherSuite::from_alg_word(buf[16..20].try_into().unwrap())
+            .map_err(FbsError::UnknownAlgorithm)?;
         let mac_len = buf[18] as usize;
-        if mac_len == 0 || mac_len > mac_alg.output_len() {
+        if mac_len == 0 || mac_len > suite.mac().output_len() {
             return Err(FbsError::MalformedHeader("bad MAC length"));
         }
-        let suite =
-            CipherSuite::from_wire_id(buf[19]).ok_or(FbsError::UnknownAlgorithm(buf[19]))?;
         let plaintext_len = u32::from_be_bytes(buf[20..24].try_into().unwrap());
         if buf.len() < FIXED_PREFIX_LEN + mac_len {
             return Err(FbsError::MalformedHeader("truncated MAC"));
@@ -264,8 +170,7 @@ impl<'a> HeaderView<'a> {
                 sfl,
                 confounder,
                 timestamp,
-                mac_alg,
-                enc_alg,
+                secret,
                 suite,
                 plaintext_len,
                 mac,
@@ -279,6 +184,12 @@ impl<'a> HeaderView<'a> {
         ((self.confounder as u64) << 32) | self.confounder as u64
     }
 
+    /// Header bytes 16–19 as this view names them — also what the fast and
+    /// AEAD suites absorb into their MAC, binding the `secret` flag.
+    pub fn alg_word(&self) -> [u8; 4] {
+        self.suite.alg_word(self.secret, self.mac.len() as u8)
+    }
+
     /// Serialise this header into `out[..FIXED_PREFIX_LEN + mac.len()]` —
     /// the in-place counterpart of [`SecurityFlowHeader::encode`], used by
     /// the seal fast path to write straight into a pooled wire buffer.
@@ -289,10 +200,7 @@ impl<'a> HeaderView<'a> {
         out[0..8].copy_from_slice(&self.sfl.to_be_bytes());
         out[8..12].copy_from_slice(&self.confounder.to_be_bytes());
         out[12..16].copy_from_slice(&self.timestamp.to_be_bytes());
-        out[16] = self.mac_alg.wire_id();
-        out[17] = self.enc_alg.wire_id();
-        out[18] = self.mac.len() as u8;
-        out[19] = self.suite.wire_id();
+        out[16..20].copy_from_slice(&self.alg_word());
         out[20..24].copy_from_slice(&self.plaintext_len.to_be_bytes());
         out[FIXED_PREFIX_LEN..FIXED_PREFIX_LEN + self.mac.len()].copy_from_slice(self.mac);
     }
@@ -307,8 +215,7 @@ mod tests {
             sfl: 0x0102030405060708,
             confounder: 0xDEADBEEF,
             timestamp: 123_456,
-            mac_alg: MacAlgorithm::KeyedMd5,
-            enc_alg: EncAlgorithm::DesCbc,
+            secret: true,
             suite: CipherSuite::Paper,
             plaintext_len: 1000,
             mac: vec![0xAB; 16],
@@ -400,35 +307,6 @@ mod tests {
         view.encode_into(&mut buf);
         assert_eq!(buf, h.encode());
         assert_eq!(view.iv64(), h.iv64());
-    }
-
-    #[test]
-    fn enc_alg_wire_roundtrip() {
-        for alg in [
-            EncAlgorithm::None,
-            EncAlgorithm::DesCbc,
-            EncAlgorithm::DesEcb,
-            EncAlgorithm::DesCfb,
-            EncAlgorithm::DesOfb,
-            EncAlgorithm::TdeaCbc,
-            EncAlgorithm::DesCtr,
-            EncAlgorithm::ChaCha20,
-        ] {
-            assert_eq!(EncAlgorithm::from_wire_id(alg.wire_id()), Some(alg));
-        }
-        assert!(EncAlgorithm::TdeaCbc.is_triple());
-        assert!(!EncAlgorithm::DesCbc.is_triple());
-        assert_eq!(EncAlgorithm::from_wire_id(42), None);
-        assert!(!EncAlgorithm::None.is_secret());
-        assert!(EncAlgorithm::DesCbc.is_secret());
-        // Stream algorithms encrypt but have no FIPS 81 block mode.
-        for alg in [EncAlgorithm::DesCtr, EncAlgorithm::ChaCha20] {
-            assert!(alg.is_stream());
-            assert!(alg.is_secret());
-            assert!(alg.des_mode().is_none());
-        }
-        assert!(!EncAlgorithm::DesCbc.is_stream());
-        assert!(!EncAlgorithm::None.is_stream());
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! the flow key to the principal pair, which also serves multi-homed
 //! principals.
 
-use crate::header::EncAlgorithm;
 use crate::principal::Principal;
-use fbs_crypto::des::TripleDes;
 use fbs_crypto::{md5::Md5, sha1::Sha1, CipherSuite, Des, MacAlgorithm, MacContext};
 use std::sync::OnceLock;
 
@@ -41,13 +39,6 @@ impl FlowKey {
         k.copy_from_slice(&self.0[..8]);
         k
     }
-
-    /// First 16 bytes as a two-key Triple-DES (EDE2) key.
-    pub fn tdea_key(&self) -> [u8; 16] {
-        let mut k = [0u8; 16];
-        k.copy_from_slice(&self.0[..16]);
-        k
-    }
 }
 
 impl std::fmt::Debug for FlowKey {
@@ -68,55 +59,30 @@ impl std::fmt::Debug for FlowKey {
 pub struct SealedFlowKey {
     key: FlowKey,
     des: Des,
-    tdea: OnceLock<TripleDes>,
     suite: CipherSuite,
-    /// MAC context with the flow-key prefix already absorbed, cloned per
-    /// datagram instead of re-absorbing the key (skips one compression
-    /// round for the prefix-keyed algorithms). Not used for Poly1305,
-    /// whose key is one-time per datagram.
-    mac_prefix: Option<(MacAlgorithm, MacContext)>,
+    /// Keyed-MD5 context with the flow-key prefix already absorbed, cloned
+    /// per datagram instead of re-absorbing the key. The AEAD suite never
+    /// uses it: its Poly1305 key is one-time per datagram.
+    mac_prefix: MacContext,
     /// 256-bit ChaCha20 key expanded from the flow key (AEAD suite).
     chacha: OnceLock<[u8; 32]>,
 }
 
 impl SealedFlowKey {
-    /// Seal `key` under the paper suite: expand its DES schedule now,
-    /// everything else on demand. Compatibility entry point; the hot path
-    /// uses [`seal_for`](Self::seal_for).
-    pub fn seal(key: FlowKey) -> Self {
-        let des = Des::new(&key.des_key());
-        SealedFlowKey {
+    /// Seal `key` for `suite`, building every schedule the suite needs at
+    /// derivation time: the DES schedule, the keyed-MD5 prefix context, and
+    /// the ChaCha20 key for the AEAD suite.
+    /// After this, the per-datagram path performs no schedule construction.
+    pub fn seal(key: FlowKey, suite: CipherSuite) -> Self {
+        let sealed = SealedFlowKey {
+            des: Des::new(&key.des_key()),
+            mac_prefix: MacAlgorithm::KeyedMd5.begin(key.as_bytes()),
             key,
-            des,
-            tdea: OnceLock::new(),
-            suite: CipherSuite::Paper,
-            mac_prefix: None,
+            suite,
             chacha: OnceLock::new(),
-        }
-    }
-
-    /// Seal `key` for a specific profile, building *all* schedules the
-    /// configured algorithms will need at derivation time: the DES
-    /// schedule, the Triple-DES schedule when `enc_alg` is triple (so the
-    /// first datagram of a flow doesn't pay the `new_ede2` build inside a
-    /// seal/open stage span), the ChaCha20 key for the AEAD suite, and the
-    /// cached MAC key-prefix context. After this, the per-datagram path
-    /// performs no schedule construction at all.
-    pub fn seal_for(
-        key: FlowKey,
-        suite: CipherSuite,
-        mac_alg: MacAlgorithm,
-        enc_alg: EncAlgorithm,
-    ) -> Self {
-        let sealed = Self::seal(key);
-        let mut sealed = SealedFlowKey { suite, ..sealed };
-        if enc_alg.is_triple() {
-            let _ = sealed.tdea();
-        }
+        };
         if suite == CipherSuite::AeadChaPoly {
             let _ = sealed.chacha_key();
-        } else if mac_alg != MacAlgorithm::Poly1305 {
-            sealed.mac_prefix = Some((mac_alg, mac_alg.begin(sealed.key.as_bytes())));
         }
         sealed
     }
@@ -141,19 +107,9 @@ impl SealedFlowKey {
         &self.des
     }
 
-    /// The cached two-key Triple-DES (EDE2) schedule. Pre-built by
-    /// [`seal_for`](Self::seal_for) when the configured cipher is triple;
-    /// the lazy fallback covers received frames whose header names TDEA
-    /// even though the local config does not.
-    pub fn tdea(&self) -> &TripleDes {
-        self.tdea
-            .get_or_init(|| TripleDes::new_ede2(&self.key.tdea_key()))
-    }
-
     /// The 256-bit ChaCha20 key: the flow key expanded through two
     /// domain-separated MD5 invocations (the flow key itself is only 16 or
-    /// 20 bytes). Pre-built by [`seal_for`](Self::seal_for) for the AEAD
-    /// suite.
+    /// 20 bytes). Pre-built by [`seal`](Self::seal) for the AEAD suite.
     pub fn chacha_key(&self) -> &[u8; 32] {
         self.chacha.get_or_init(|| {
             let mut out = [0u8; 32];
@@ -169,15 +125,10 @@ impl SealedFlowKey {
         })
     }
 
-    /// Begin a MAC computation keyed by this flow key: clones the cached
-    /// key-prefix context when `alg` matches the sealed algorithm, falls
-    /// back to absorbing the key otherwise (e.g. a received frame naming a
-    /// different MAC than the local config).
-    pub fn mac_begin(&self, alg: MacAlgorithm) -> MacContext {
-        match &self.mac_prefix {
-            Some((cached_alg, ctx)) if *cached_alg == alg => ctx.clone(),
-            _ => alg.begin(self.key.as_bytes()),
-        }
+    /// Begin a keyed-MD5 computation under this flow key by cloning the
+    /// cached key-prefix context.
+    pub fn mac_begin(&self) -> MacContext {
+        self.mac_prefix.clone()
     }
 }
 
@@ -292,65 +243,37 @@ mod tests {
     }
 
     #[test]
-    fn seal_for_prebuilds_tdea_schedule() {
-        use fbs_crypto::des::key_schedule_count;
-        let k = derive_flow_key(KeyDerivation::Md5, 9, b"m", &p("S"), &p("D"));
-        let sealed = SealedFlowKey::seal_for(
-            k,
-            CipherSuite::Paper,
-            MacAlgorithm::KeyedMd5,
-            EncAlgorithm::TdeaCbc,
-        );
-        // The first datagram of the flow must not pay `new_ede2` inside a
-        // stage span: the schedule already exists.
-        let before = key_schedule_count();
-        let _ = sealed.tdea();
-        assert_eq!(
-            key_schedule_count(),
-            before,
-            "TDEA schedule must be built at key-derivation time"
-        );
-    }
-
-    #[test]
     fn mac_begin_cached_prefix_matches_fresh() {
         let k = derive_flow_key(KeyDerivation::Md5, 9, b"m", &p("S"), &p("D"));
         let bytes = k.as_bytes().to_vec();
-        let sealed = SealedFlowKey::seal_for(
-            k,
-            CipherSuite::FastDes,
-            MacAlgorithm::KeyedMd5,
-            EncAlgorithm::DesCtr,
-        );
-        for msg in [&b"datagram one"[..], b"two", b""] {
-            let mut cached = sealed.mac_begin(MacAlgorithm::KeyedMd5);
-            cached.update(msg);
-            let mut fresh = MacAlgorithm::KeyedMd5.begin(&bytes);
-            fresh.update(msg);
-            assert_eq!(cached.finalize(), fresh.finalize());
+        for suite in CipherSuite::ALL {
+            let sealed = SealedFlowKey::seal(k.clone(), suite);
+            for msg in [&b"datagram one"[..], b"two", b""] {
+                let mut cached = sealed.mac_begin();
+                cached.update(msg);
+                let mut fresh = MacAlgorithm::KeyedMd5.begin(&bytes);
+                fresh.update(msg);
+                assert_eq!(cached.finalize(), fresh.finalize(), "{suite:?}");
+            }
         }
-        // A mismatching algorithm falls back to a fresh absorb.
-        let mut other = sealed.mac_begin(MacAlgorithm::KeyedSha1);
-        other.update(b"x");
-        let mut fresh = MacAlgorithm::KeyedSha1.begin(&bytes);
-        fresh.update(b"x");
-        assert_eq!(other.finalize(), fresh.finalize());
     }
 
     #[test]
     fn chacha_key_is_deterministic_and_key_separated() {
         let k1 = derive_flow_key(KeyDerivation::Md5, 1, b"m", &p("S"), &p("D"));
         let k2 = derive_flow_key(KeyDerivation::Md5, 2, b"m", &p("S"), &p("D"));
-        let s1a = SealedFlowKey::seal(k1.clone());
-        let s1b = SealedFlowKey::seal(k1);
-        let s2 = SealedFlowKey::seal(k2);
+        let s1a = SealedFlowKey::seal(k1.clone(), CipherSuite::AeadChaPoly);
+        let s1b = SealedFlowKey::seal(k1, CipherSuite::Paper);
+        let s2 = SealedFlowKey::seal(k2, CipherSuite::AeadChaPoly);
         assert_eq!(s1a.chacha_key(), s1b.chacha_key());
         assert_ne!(s1a.chacha_key(), s2.chacha_key());
     }
 
     #[test]
-    fn seal_defaults_to_paper_suite() {
+    fn seal_records_the_suite() {
         let k = derive_flow_key(KeyDerivation::Md5, 9, b"m", &p("S"), &p("D"));
-        assert_eq!(SealedFlowKey::seal(k).suite(), CipherSuite::Paper);
+        for suite in CipherSuite::ALL {
+            assert_eq!(SealedFlowKey::seal(k.clone(), suite).suite(), suite);
+        }
     }
 }

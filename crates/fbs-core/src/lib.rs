@@ -52,7 +52,7 @@ pub use concurrent::{KeyingService, Published};
 pub use error::{FbsError, Result, RuntimeError};
 pub use fam::{Classification, Fam, FlowPolicy, FlowRecord, FstEntry, KeyUnavailableVerdict};
 pub use fault::WorkerFaultInjector;
-pub use header::{EncAlgorithm, HeaderView, SecurityFlowHeader};
+pub use header::{HeaderView, SecurityFlowHeader};
 pub use keying::{derive_flow_key, FlowKey, KeyDerivation, SealedFlowKey};
 pub use mem::{BudgetKind, BudgetSnapshot, MemoryBudget};
 pub use mkd::{AtomicMkdStats, MasterKeyDaemon, PinnedDirectory, PublicValueSource, Resilience};

@@ -20,7 +20,7 @@ use crate::cache::{CacheStats, SoftCache};
 use crate::clock::Clock;
 use crate::error::{FbsError, Result};
 use crate::fam::{Fam, FlowPolicy};
-use crate::header::{EncAlgorithm, HeaderView, SecurityFlowHeader, FIXED_PREFIX_LEN};
+use crate::header::{HeaderView, SecurityFlowHeader, FIXED_PREFIX_LEN};
 use crate::keying::{derive_flow_key, KeyDerivation, SealedFlowKey};
 use crate::mkd::{MasterKeyDaemon, MkdStats};
 use crate::principal::Principal;
@@ -28,12 +28,11 @@ use crate::replay::FreshnessWindow;
 use fbs_crypto::chacha::{ChaCha20, Poly1305};
 use fbs_crypto::crc32::Crc32;
 use fbs_crypto::des::{
-    ctr_xor_at, decrypt_in_place, padded_len, BlockCipher, BlockEncryptor, Des, TripleDes,
-    BLOCK_SIZE,
+    ctr_xor_at, decrypt_in_place, encrypt_in_place, padded_len, BlockEncryptor, BLOCK_SIZE,
 };
 use fbs_crypto::mac::MAX_MAC_SIZE;
 use fbs_crypto::rng::Lcg64;
-use fbs_crypto::{crc32, mac_eq, CipherSuite, MacAlgorithm};
+use fbs_crypto::{crc32, mac_eq, CipherSuite, DesMode};
 use fbs_obs::{CacheKind, Counter, Event, MetricsRegistry, MetricsSnapshot};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,7 +70,7 @@ pub struct ProtectedDatagram {
     pub destination: Principal,
     /// The FBS security flow header.
     pub header: SecurityFlowHeader,
-    /// Body — encrypted when `header.enc_alg.is_secret()`.
+    /// Body — encrypted when `header.secret`.
     pub body: Vec<u8>,
 }
 
@@ -118,20 +117,15 @@ pub const MIN_SHIPPED_MAC: usize = 4;
 pub struct FbsConfig {
     /// Hash for flow-key derivation (`H` in §5.2).
     pub key_derivation: KeyDerivation,
-    /// MAC algorithm (`HMAC` in §5.2 — the paper's keyed MD5 by default).
-    /// The AEAD suite overrides this with Poly1305.
-    pub mac_alg: MacAlgorithm,
     /// Optional MAC truncation (§5.3 allows shipping a prefix). Values
     /// below [`MIN_SHIPPED_MAC`] are clamped up (see
     /// [`FbsConfig::validate`]).
     pub mac_truncate: Option<usize>,
-    /// Encryption algorithm used when the `secret` flag is set under the
-    /// paper suite. The fast and AEAD suites select their own ciphers.
-    pub enc_alg: EncAlgorithm,
-    /// Crypto-plane profile. Sealed into every flow key this endpoint
-    /// derives and carried in header byte 19; both halves of a flow must
-    /// agree (a received frame naming a different suite is rejected as
-    /// [`FbsError::BadMac`]).
+    /// Crypto-plane profile: the one crypto selector. It fixes the MAC and
+    /// the cipher the `secret` flag turns on, is sealed into every flow key
+    /// this endpoint derives, and is carried in header byte 19; both halves
+    /// of a flow must agree (a received frame naming a different suite is
+    /// rejected as [`FbsError::BadMac`]).
     pub suite: CipherSuite,
     /// Replay freshness window.
     pub freshness: FreshnessWindow,
@@ -159,9 +153,7 @@ impl Default for FbsConfig {
     fn default() -> Self {
         FbsConfig {
             key_derivation: KeyDerivation::Md5,
-            mac_alg: MacAlgorithm::KeyedMd5,
             mac_truncate: None,
-            enc_alg: EncAlgorithm::DesCbc,
             suite: CipherSuite::Paper,
             freshness: FreshnessWindow::default(),
             // §5.3: TFKC should cover the average number of active flows;
@@ -181,25 +173,15 @@ impl Default for FbsConfig {
 
 impl FbsConfig {
     /// Check the configuration for values that would silently weaken the
-    /// protocol. Returns an error for a `mac_truncate` below
-    /// [`MIN_SHIPPED_MAC`] (a `Some(0)` truncation ships an empty MAC that
-    /// verifies vacuously) and for Poly1305 configured as the flow MAC of
-    /// a non-AEAD suite (Poly1305 keys are one-time; only the AEAD suite
-    /// derives them safely).
+    /// protocol: a `mac_truncate` below [`MIN_SHIPPED_MAC`] is an error (a
+    /// `Some(0)` truncation ships an empty MAC that verifies vacuously).
     pub fn validate(&self) -> Result<()> {
-        if let Some(n) = self.mac_truncate {
-            if n < MIN_SHIPPED_MAC {
-                return Err(FbsError::MalformedHeader(
-                    "mac_truncate below the 4-byte minimum",
-                ));
-            }
+        match self.mac_truncate {
+            Some(n) if n < MIN_SHIPPED_MAC => Err(FbsError::MalformedHeader(
+                "mac_truncate below the 4-byte minimum",
+            )),
+            _ => Ok(()),
         }
-        if self.suite != CipherSuite::AeadChaPoly && self.mac_alg == MacAlgorithm::Poly1305 {
-            return Err(FbsError::MalformedHeader(
-                "Poly1305 requires the AEAD suite (one-time keys)",
-            ));
-        }
-        Ok(())
     }
 
     /// A copy with insecure values clamped to their safe floors: the
@@ -210,38 +192,21 @@ impl FbsConfig {
         if let Some(n) = &mut self.mac_truncate {
             *n = (*n).max(MIN_SHIPPED_MAC);
         }
-        if self.suite != CipherSuite::AeadChaPoly && self.mac_alg == MacAlgorithm::Poly1305 {
-            self.mac_alg = MacAlgorithm::KeyedMd5;
-        }
         self
     }
 
-    /// The MAC algorithm the configured suite actually uses.
-    pub fn suite_mac_alg(&self) -> MacAlgorithm {
-        match self.suite {
-            CipherSuite::Paper | CipherSuite::FastDes => self.mac_alg,
-            CipherSuite::AeadChaPoly => MacAlgorithm::Poly1305,
-        }
-    }
-
-    /// The cipher the configured suite uses when `secret` is requested.
-    pub fn suite_enc_alg(&self) -> EncAlgorithm {
-        match self.suite {
-            CipherSuite::Paper => self.enc_alg,
-            CipherSuite::FastDes => EncAlgorithm::DesCtr,
-            CipherSuite::AeadChaPoly => EncAlgorithm::ChaCha20,
-        }
-    }
-
-    /// Seal a derived flow key with every schedule this configuration
-    /// needs, ready for the per-datagram path.
+    /// Seal a derived flow key for this configuration's suite, ready for
+    /// the per-datagram path.
     pub fn seal_key(&self, key: crate::keying::FlowKey) -> SealedFlowKey {
-        SealedFlowKey::seal_for(key, self.suite, self.suite_mac_alg(), self.suite_enc_alg())
+        SealedFlowKey::seal(key, self.suite)
     }
 
-    /// Shipped MAC length for a MAC of `full` bytes under this config's
-    /// truncation, never below [`MIN_SHIPPED_MAC`].
-    fn shipped_mac_len(&self, full: usize) -> usize {
+    /// Bytes of MAC a datagram ships: the suite's full MAC under this
+    /// config's truncation, never below [`MIN_SHIPPED_MAC`]. The codec
+    /// seals and verifies with this length, and the IP mapping's overhead
+    /// allowance counts it.
+    pub fn shipped_mac_len(&self) -> usize {
+        let full = self.suite.mac().output_len();
         self.mac_truncate
             .map_or(full, |n| full.min(n.max(MIN_SHIPPED_MAC)))
     }
@@ -369,8 +334,7 @@ impl FlowCodec {
     pub fn new(local: Principal, cfg: FbsConfig, clock: Arc<dyn Clock>, seed: u64) -> Self {
         FlowCodec {
             local,
-            // Clamp insecure settings (zero-length truncated MACs, misused
-            // one-time MAC algorithms) even if the caller skipped
+            // Clamp zero-length truncated MACs even if the caller skipped
             // `FbsConfig::validate`.
             cfg: cfg.normalized(),
             clock,
@@ -449,29 +413,16 @@ impl FlowCodec {
     ) -> Result<()> {
         let confounder = self.confounder.next_u32();
         let timestamp = self.clock.now_minutes();
-        // Dispatch on the suite sealed into the key (falling back to the
-        // config for compatibility keys): the profile travels with the key
-        // schedule, so a worker never branches on mutable config mid-batch.
+        // Dispatch on the suite sealed into the key: the profile travels
+        // with the key schedule, so a worker never branches on mutable
+        // config mid-batch.
         let suite = key.suite();
-        let mac_alg = match suite {
-            CipherSuite::AeadChaPoly => MacAlgorithm::Poly1305,
-            _ => self.cfg.mac_alg,
-        };
-        let enc_alg = if secret && !self.cfg.nop_crypto {
-            match suite {
-                CipherSuite::Paper => self.cfg.enc_alg,
-                CipherSuite::FastDes => EncAlgorithm::DesCtr,
-                CipherSuite::AeadChaPoly => EncAlgorithm::ChaCha20,
-            }
-        } else {
-            EncAlgorithm::None
-        };
-        let mac_out_len = mac_alg.output_len();
-        let shipped = self.cfg.shipped_mac_len(mac_out_len);
+        let secret = secret && !self.cfg.nop_crypto;
+        let shipped = self.cfg.shipped_mac_len();
         let header_len = FIXED_PREFIX_LEN + shipped;
-        // Block ciphers pad to a whole block; stream ciphers (and
-        // MAC-only) keep the wire body at plaintext length.
-        let wire_body_len = if enc_alg.des_mode().is_some() {
+        // The paper suite's block cipher pads to a whole block; the stream
+        // ciphers (and MAC-only) keep the wire body at plaintext length.
+        let wire_body_len = if secret && suite == CipherSuite::Paper {
             padded_len(body.len())
         } else {
             body.len()
@@ -483,32 +434,28 @@ impl FlowCodec {
         out[header_len..header_len + body.len()].copy_from_slice(body);
         let (head, wire_body) = out.split_at_mut(header_len);
         let mut mac_buf = [0u8; MAX_MAC_SIZE];
-        let mac_len = seal_core(
+        seal_core(
             &self.cfg,
             key,
-            suite,
             sfl,
             confounder,
             timestamp,
             body.len(),
-            mac_alg,
-            enc_alg,
+            suite.alg_word(secret, shipped as u8),
             wire_body,
             &mut mac_buf,
         );
-        debug_assert_eq!(mac_len, mac_out_len);
         HeaderView {
             sfl,
             confounder,
             timestamp,
-            mac_alg,
-            enc_alg,
+            secret,
             suite,
             plaintext_len: body.len() as u32,
             mac: &mac_buf[..shipped],
         }
         .encode_into(head);
-        self.note_sealed(enc_alg, body.len() as u64);
+        self.note_sealed(secret, body.len() as u64);
         Ok(())
     }
 
@@ -524,18 +471,17 @@ impl FlowCodec {
         body: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        let Some((expected, full)) = self.open_compute(h, key, body, out)? else {
+        let Some(expected) = self.open_compute(h, key, body, out)? else {
             // Fig. 8's "FBS NOP": MAC verification returns immediately.
-            self.note_received(out.len() as u64);
+            self.note_received(out.len() as u64, h.secret);
             return Ok(());
         };
         // R7-9: MAC verification (constant-time compare).
-        let used = self.cfg.shipped_mac_len(full);
-        if !mac_eq(&expected[..used], h.mac) {
+        if !mac_eq(&expected[..self.cfg.shipped_mac_len()], h.mac) {
             self.note_mac_drop();
             return Err(FbsError::BadMac);
         }
-        self.note_received(out.len() as u64);
+        self.note_received(out.len() as u64, h.secret);
         // R12: `out` holds the datagram body.
         Ok(())
     }
@@ -546,7 +492,7 @@ impl FlowCodec {
     /// and the receive/mac-drop accounting — happens when the caller
     /// resolves the verifier over the whole sub-batch. Returns `true` when
     /// a tag was enqueued (the caller MUST resolve the verifier and then
-    /// call [`Self::note_deferred_pass`] or
+    /// call [`Self::note_deferred_pass`] (with `h.secret`) or
     /// [`Self::note_deferred_mac_drop`] per datagram), `false` when the
     /// datagram was fully accepted here (NOP-crypto mode).
     pub fn open_with_key_deferred(
@@ -558,22 +504,21 @@ impl FlowCodec {
         token: usize,
         verifier: &mut BatchVerifier,
     ) -> Result<bool> {
-        let Some((expected, full)) = self.open_compute(h, key, body, out)? else {
-            self.note_received(out.len() as u64);
+        let Some(expected) = self.open_compute(h, key, body, out)? else {
+            self.note_received(out.len() as u64, h.secret);
             return Ok(false);
         };
-        let used = self.cfg.shipped_mac_len(full);
         // The shipped MAC is copied out of the wire buffer: by resolution
         // time the payload buffer has been recycled into the pool.
-        verifier.push(&expected[..used], h.mac, token);
+        verifier.push(&expected[..self.cfg.shipped_mac_len()], h.mac, token);
         Ok(true)
     }
 
     /// Deferred-verification bookkeeping: the datagram whose tag was
     /// enqueued by [`Self::open_with_key_deferred`] passed batch
-    /// verification.
-    pub fn note_deferred_pass(&self, bytes: u64) {
-        self.note_received(bytes);
+    /// verification; `secret` is its header's flag.
+    pub fn note_deferred_pass(&self, bytes: u64, secret: bool) {
+        self.note_received(bytes, secret);
     }
 
     /// Deferred-verification bookkeeping: the datagram failed batch
@@ -583,112 +528,90 @@ impl FlowCodec {
     }
 
     /// Recover the body into `out` and compute the expected MAC, dispatched
-    /// on the (authenticated) suite id. Returns `None` in NOP-crypto mode
-    /// (body recovered, nothing to verify), otherwise the expected tag and
-    /// its untruncated length.
+    /// on the suite. Returns `None` in NOP-crypto mode (body recovered,
+    /// nothing to verify), otherwise the expected (untruncated) tag.
     fn open_compute(
         &self,
         h: &HeaderView<'_>,
         key: &SealedFlowKey,
         body: &[u8],
         out: &mut Vec<u8>,
-    ) -> Result<Option<([u8; MAX_MAC_SIZE], usize)>> {
+    ) -> Result<Option<[u8; MAX_MAC_SIZE]>> {
         // Both halves of a flow must run the same profile: a frame naming
         // a different suite is keyed differently by construction (the
-        // suite id is absorbed into the MAC of the non-paper suites) and
-        // is rejected up front, so no downgrade path exists.
+        // algorithm-ID word is absorbed into the MAC of the non-paper
+        // suites) and is rejected up front, so no downgrade path exists.
         if h.suite != self.cfg.suite {
             self.note_mac_drop();
             return Err(FbsError::BadMac);
         }
+        if h.suite != CipherSuite::Paper && h.plaintext_len as usize != body.len() {
+            self.note_malformed();
+            return Err(FbsError::MalformedCiphertext);
+        }
         let mut expected = [0u8; MAX_MAC_SIZE];
-        let full = match h.suite {
+        match h.suite {
             CipherSuite::Paper => {
                 if let Err(e) = open_body_into(h, key, body, out) {
                     self.note_malformed();
                     return Err(e);
                 }
-                self.note_decrypted(h);
                 if self.cfg.nop_crypto {
                     return Ok(None);
                 }
                 // The paper layout: MAC over confounder | timestamp |
                 // plaintext — bit-identical to the pre-suite wire format.
-                let mut ctx = key.mac_begin(h.mac_alg);
+                // A flipped `secret` flag cannot pass: decrypting cleartext
+                // (or not decrypting ciphertext) changes the MAC input.
+                let mut ctx = key.mac_begin();
                 ctx.update(&h.confounder.to_be_bytes());
                 ctx.update(&h.timestamp.to_be_bytes());
                 ctx.update(out);
-                ctx.finalize_into(&mut expected)
+                ctx.finalize_into(&mut expected);
             }
             CipherSuite::FastDes => {
-                if !matches!(h.enc_alg, EncAlgorithm::None | EncAlgorithm::DesCtr)
-                    || h.plaintext_len as usize != body.len()
-                {
-                    self.note_malformed();
-                    return Err(FbsError::MalformedCiphertext);
-                }
                 out.clear();
                 out.extend_from_slice(body);
-                if h.enc_alg == EncAlgorithm::DesCtr {
+                if h.secret {
                     ctr_xor_at(key.des(), ctr_base(h.confounder, h.timestamp), 0, out);
                 }
-                self.note_decrypted(h);
                 if self.cfg.nop_crypto {
                     return Ok(None);
                 }
-                let mut ctx = key.mac_begin(h.mac_alg);
-                ctx.update(&[h.suite.wire_id()]);
+                let mut ctx = key.mac_begin();
+                ctx.update(&h.alg_word());
                 ctx.update(&h.confounder.to_be_bytes());
                 ctx.update(&h.timestamp.to_be_bytes());
                 ctx.update(out);
-                ctx.finalize_into(&mut expected)
+                ctx.finalize_into(&mut expected);
             }
             CipherSuite::AeadChaPoly => {
-                if !matches!(h.enc_alg, EncAlgorithm::None | EncAlgorithm::ChaCha20)
-                    || h.plaintext_len as usize != body.len()
-                {
-                    self.note_malformed();
-                    return Err(FbsError::MalformedCiphertext);
-                }
                 out.clear();
                 out.extend_from_slice(body);
                 let cc = ChaCha20::new(
                     key.chacha_key(),
                     &aead_nonce(h.sfl, h.confounder, h.timestamp),
                 );
-                if self.cfg.nop_crypto {
-                    if h.enc_alg == EncAlgorithm::ChaCha20 {
-                        cc.xor_keystream(1, out);
-                    }
-                    self.note_decrypted(h);
-                    return Ok(None);
+                if !self.cfg.nop_crypto {
+                    // Encrypt-then-MAC: the tag covers the algorithm-ID
+                    // word and the ciphertext, so it is computed before
+                    // decryption.
+                    let mut p = Poly1305::new(&cc.poly1305_key());
+                    p.update(&h.alg_word());
+                    p.update(&h.confounder.to_be_bytes());
+                    p.update(&h.timestamp.to_be_bytes());
+                    p.update(out);
+                    expected = p.finalize();
                 }
-                // Encrypt-then-MAC: the tag covers the ciphertext, so it
-                // is computed before decryption.
-                let mut p = Poly1305::new(&cc.poly1305_key());
-                p.update(&[h.suite.wire_id()]);
-                p.update(&h.confounder.to_be_bytes());
-                p.update(&h.timestamp.to_be_bytes());
-                p.update(out);
-                expected[..16].copy_from_slice(&p.finalize());
-                if h.enc_alg == EncAlgorithm::ChaCha20 {
+                if h.secret {
                     cc.xor_keystream(1, out);
                 }
-                self.note_decrypted(h);
-                16
-            }
-        };
-        Ok(Some((expected, full)))
-    }
-
-    /// Decryption accounting, fired once per secret body.
-    fn note_decrypted(&self, h: &HeaderView<'_>) {
-        if h.enc_alg.is_secret() {
-            self.stats.decryptions.fetch_add(1, Ordering::Relaxed);
-            if let Some(reg) = &self.obs {
-                reg.incr(Counter::Decryptions);
+                if self.cfg.nop_crypto {
+                    return Ok(None);
+                }
             }
         }
+        Ok(Some(expected))
     }
 
     /// Malformed-frame accounting (stats + event).
@@ -709,13 +632,13 @@ impl FlowCodec {
 
     /// Shared send-side accounting (stats + observation), identical for
     /// the legacy and zero-copy paths.
-    fn note_sealed(&self, enc_alg: EncAlgorithm, plaintext_bytes: u64) {
-        if enc_alg.is_secret() {
+    fn note_sealed(&self, secret: bool, plaintext_bytes: u64) {
+        if secret {
             self.stats.encryptions.fetch_add(1, Ordering::Relaxed);
         }
         self.stats.sends.fetch_add(1, Ordering::Relaxed);
         if let Some(reg) = &self.obs {
-            if enc_alg.is_secret() {
+            if secret {
                 reg.incr(Counter::Encryptions);
             }
             reg.record(Event::Send {
@@ -724,9 +647,18 @@ impl FlowCodec {
         }
     }
 
-    fn note_received(&self, bytes: u64) {
+    /// Accepted-datagram accounting. A secret body counts as a decryption
+    /// only here, once it is accepted: a frame that fails verification
+    /// leaves `decryptions` untouched whatever its header claims.
+    fn note_received(&self, bytes: u64, secret: bool) {
         self.stats.receives.fetch_add(1, Ordering::Relaxed);
+        if secret {
+            self.stats.decryptions.fetch_add(1, Ordering::Relaxed);
+        }
         if let Some(reg) = &self.obs {
+            if secret {
+                reg.incr(Counter::Decryptions);
+            }
             reg.record(Event::Receive { bytes });
         }
     }
@@ -1088,39 +1020,6 @@ impl FbsEndpoint {
     }
 }
 
-/// The cipher a flow key materialises into, per the header's algorithm-ID.
-/// Borrows the key schedule cached inside [`SealedFlowKey`], so selecting a
-/// cipher costs nothing per datagram.
-enum FlowCipher<'a> {
-    Single(&'a Des),
-    Triple(&'a TripleDes),
-}
-
-impl<'a> FlowCipher<'a> {
-    fn for_alg(alg: EncAlgorithm, key: &'a SealedFlowKey) -> FlowCipher<'a> {
-        if alg.is_triple() {
-            FlowCipher::Triple(key.tdea())
-        } else {
-            FlowCipher::Single(key.des())
-        }
-    }
-}
-
-impl BlockCipher for FlowCipher<'_> {
-    fn encrypt_block(&self, block: &mut [u8; 8]) {
-        match self {
-            FlowCipher::Single(c) => c.encrypt_block(block),
-            FlowCipher::Triple(c) => c.encrypt_block(block),
-        }
-    }
-    fn decrypt_block(&self, block: &mut [u8; 8]) {
-        match self {
-            FlowCipher::Single(c) => c.decrypt_block(block),
-            FlowCipher::Triple(c) => c.decrypt_block(block),
-        }
-    }
-}
-
 /// CTR counter base for the fast suite: confounder || timestamp. Keystream
 /// block `i` is `E(base + i)`; uniqueness rests on the per-datagram
 /// confounder (32 random bits per minute bucket — the same birthday bound
@@ -1147,43 +1046,42 @@ const CTR_FUSE_CHUNK: usize = 256;
 /// Compute the MAC and optionally encrypt, honouring the single-pass
 /// configuration — entirely in place. `body` is the wire body region:
 /// `body[..plaintext_len]` holds the plaintext, the remainder (zeroed
-/// padding, present only when a block cipher is selected) completes the
-/// final block. The MAC lands in `mac_out`; the untruncated length is
-/// returned. Dispatch is per [`CipherSuite`]; the paper suite's output is
+/// padding, present only under the paper suite's block cipher) completes
+/// the final block. `word` is the header's algorithm-ID word, which names
+/// the `secret` flag. The untruncated MAC lands in `mac_out`. Dispatch is
+/// per the key's [`CipherSuite`]; the paper suite's output is
 /// bit-identical to the pre-suite implementation.
 #[allow(clippy::too_many_arguments)]
 fn seal_core(
     cfg: &FbsConfig,
     key: &SealedFlowKey,
-    suite: CipherSuite,
     sfl: u64,
     confounder: u32,
     timestamp: u32,
     plaintext_len: usize,
-    mac_alg: MacAlgorithm,
-    enc_alg: EncAlgorithm,
+    word: [u8; 4],
     body: &mut [u8],
     mac_out: &mut [u8; MAX_MAC_SIZE],
-) -> usize {
-    let out_len = mac_alg.output_len();
+) {
     if cfg.nop_crypto {
         // Fig. 8's "FBS NOP": MAC computation returns immediately.
-        mac_out[..out_len].fill(0);
-        return out_len;
+        mac_out.fill(0);
+        return;
     }
+    let secret = word[1] != 0;
 
-    match suite {
+    match key.suite() {
         CipherSuite::Paper => {}
         CipherSuite::FastDes => {
             // Fast profile: prefix-keyed MAC (cached key prefix) over
-            // suite | confounder | timestamp | plaintext, fused with the
+            // alg word | confounder | timestamp | plaintext, fused with the
             // 4-wide DES-CTR keystream XOR in one pass over the data.
             debug_assert_eq!(body.len(), plaintext_len);
-            let mut ctx = key.mac_begin(mac_alg);
-            ctx.update(&[suite.wire_id()]);
+            let mut ctx = key.mac_begin();
+            ctx.update(&word);
             ctx.update(&confounder.to_be_bytes());
             ctx.update(&timestamp.to_be_bytes());
-            if enc_alg == EncAlgorithm::DesCtr {
+            if secret {
                 let base = ctr_base(confounder, timestamp);
                 let mut off = 0;
                 while off < body.len() {
@@ -1197,57 +1095,54 @@ fn seal_core(
             } else {
                 ctx.update(body);
             }
-            return ctx.finalize_into(mac_out);
+            ctx.finalize_into(mac_out);
+            return;
         }
         CipherSuite::AeadChaPoly => {
             // AEAD profile: ChaCha20 from keystream block 1, Poly1305 tag
-            // (one-time key from block 0) over suite | confounder |
+            // (one-time key from block 0) over alg word | confounder |
             // timestamp | ciphertext — encrypt-then-MAC per RFC 8439.
             debug_assert_eq!(body.len(), plaintext_len);
             let cc = ChaCha20::new(key.chacha_key(), &aead_nonce(sfl, confounder, timestamp));
-            if enc_alg == EncAlgorithm::ChaCha20 {
+            if secret {
                 cc.xor_keystream(1, body);
             }
             let mut p = Poly1305::new(&cc.poly1305_key());
-            p.update(&[suite.wire_id()]);
+            p.update(&word);
             p.update(&confounder.to_be_bytes());
             p.update(&timestamp.to_be_bytes());
             p.update(body);
-            mac_out[..Poly1305::TAG_LEN].copy_from_slice(&p.finalize());
-            return Poly1305::TAG_LEN;
+            *mac_out = p.finalize();
+            return;
         }
     }
 
-    let Some(mode) = enc_alg.des_mode() else {
+    // The paper suite: keyed MD5 over confounder | timestamp | plaintext,
+    // DES-CBC under the duplicated confounder when secret.
+    let mut ctx = key.mac_begin();
+    ctx.update(&confounder.to_be_bytes());
+    ctx.update(&timestamp.to_be_bytes());
+    if !secret {
         // MAC-only path: single data touch by construction.
         debug_assert_eq!(body.len(), plaintext_len);
-        let mut ctx = key.mac_begin(mac_alg);
-        ctx.update(&confounder.to_be_bytes());
-        ctx.update(&timestamp.to_be_bytes());
         ctx.update(body);
-        return ctx.finalize_into(mac_out);
-    };
+        ctx.finalize_into(mac_out);
+        return;
+    }
 
     debug_assert_eq!(body.len(), padded_len(plaintext_len));
-    let des = FlowCipher::for_alg(enc_alg, key);
     let iv = ((confounder as u64) << 32) | confounder as u64;
     if !cfg.single_pass {
         // Two-pass ablation: MAC sweep, then encryption sweep.
-        let mut ctx = key.mac_begin(mac_alg);
-        ctx.update(&confounder.to_be_bytes());
-        ctx.update(&timestamp.to_be_bytes());
         ctx.update(&body[..plaintext_len]);
-        let n = ctx.finalize_into(mac_out);
-        fbs_crypto::des::encrypt_in_place(&des, iv, mode, body);
-        return n;
+        ctx.finalize_into(mac_out);
+        encrypt_in_place(key.des(), iv, DesMode::Cbc, body);
+        return;
     }
 
     // Single pass (§5.3): absorb each plaintext block into the MAC and
     // encrypt it in the same loop iteration.
-    let mut ctx = key.mac_begin(mac_alg);
-    ctx.update(&confounder.to_be_bytes());
-    ctx.update(&timestamp.to_be_bytes());
-    let mut enc = BlockEncryptor::new(&des, mode, iv);
+    let mut enc = BlockEncryptor::new(key.des(), DesMode::Cbc, iv);
     for (i, chunk) in body.chunks_exact_mut(BLOCK_SIZE).enumerate() {
         let start = i * BLOCK_SIZE;
         let valid = plaintext_len.saturating_sub(start).min(BLOCK_SIZE);
@@ -1257,42 +1152,33 @@ fn seal_core(
         }
         enc.process(chunk.try_into().expect("chunks_exact yields 8 bytes"));
     }
-    ctx.finalize_into(mac_out)
+    ctx.finalize_into(mac_out);
 }
 
-/// Recover the plaintext body into `out` (decrypting in place inside `out`
-/// if needed) and validate framing.
+/// Recover the paper suite's plaintext body into `out` (decrypting DES-CBC
+/// in place inside `out` if the datagram is secret) and validate framing.
 fn open_body_into(
     h: &HeaderView<'_>,
     key: &SealedFlowKey,
     body: &[u8],
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    match h.enc_alg.des_mode() {
-        None => {
-            if h.plaintext_len as usize != body.len() {
-                return Err(FbsError::MalformedCiphertext);
-            }
-            out.clear();
-            out.extend_from_slice(body);
-            Ok(())
-        }
-        Some(mode) => {
-            let len = h.plaintext_len as usize;
-            if !body.len().is_multiple_of(BLOCK_SIZE)
-                || len > body.len()
-                || body.len() - len >= BLOCK_SIZE
-            {
-                return Err(FbsError::MalformedCiphertext);
-            }
-            let des = FlowCipher::for_alg(h.enc_alg, key);
-            out.clear();
-            out.extend_from_slice(body);
-            decrypt_in_place(&des, h.iv64(), mode, out);
-            out.truncate(len);
-            Ok(())
-        }
+    let len = h.plaintext_len as usize;
+    let framed = if h.secret {
+        body.len().is_multiple_of(BLOCK_SIZE) && len <= body.len() && body.len() - len < BLOCK_SIZE
+    } else {
+        len == body.len()
+    };
+    if !framed {
+        return Err(FbsError::MalformedCiphertext);
     }
+    out.clear();
+    out.extend_from_slice(body);
+    if h.secret {
+        decrypt_in_place(key.des(), h.iv64(), DesMode::Cbc, out);
+        out.truncate(len);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1339,7 +1225,7 @@ pub(crate) mod tests {
     fn roundtrip_cleartext() {
         let (mut s, mut d, _) = endpoint_pair(FbsConfig::default());
         let pd = s.send(42, dgram(b"hello"), false).unwrap();
-        assert_eq!(pd.header.enc_alg, EncAlgorithm::None);
+        assert!(!pd.header.secret);
         assert_eq!(pd.body, b"hello"); // MAC-only: body visible
         let got = d.receive(pd).unwrap();
         assert_eq!(got.body, b"hello");
@@ -1350,7 +1236,7 @@ pub(crate) mod tests {
     fn roundtrip_encrypted() {
         let (mut s, mut d, _) = endpoint_pair(FbsConfig::default());
         let pd = s.send(42, dgram(b"top secret payload"), true).unwrap();
-        assert!(pd.header.enc_alg.is_secret());
+        assert!(pd.header.secret);
         assert_ne!(&pd.body[..18.min(pd.body.len())], b"top secret payload");
         assert_eq!(pd.body.len() % 8, 0);
         let got = d.receive(pd).unwrap();
@@ -1384,26 +1270,6 @@ pub(crate) mod tests {
         // Same seed ⇒ same confounder ⇒ identical wire output.
         assert_eq!(p1.header.mac, p2.header.mac);
         assert_eq!(p1.body, p2.body);
-    }
-
-    #[test]
-    fn all_cipher_modes_roundtrip() {
-        for enc in [
-            EncAlgorithm::DesCbc,
-            EncAlgorithm::DesEcb,
-            EncAlgorithm::DesCfb,
-            EncAlgorithm::DesOfb,
-            EncAlgorithm::TdeaCbc,
-        ] {
-            let cfg = FbsConfig {
-                enc_alg: enc,
-                ..FbsConfig::default()
-            };
-            let (mut s, mut d, _) = endpoint_pair(cfg);
-            let pd = s.send(3, dgram(b"mode test payload 123"), true).unwrap();
-            let got = d.receive(pd).unwrap();
-            assert_eq!(got.body, b"mode test payload 123", "{enc:?}");
-        }
     }
 
     #[test]
@@ -1584,43 +1450,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn hmac_and_sha1_configs_roundtrip() {
-        for (mac_alg, kd) in [
-            (MacAlgorithm::HmacMd5, KeyDerivation::Md5),
-            (MacAlgorithm::KeyedSha1, KeyDerivation::Sha1),
-            (MacAlgorithm::HmacSha1, KeyDerivation::Sha1),
-        ] {
-            let cfg = FbsConfig {
-                mac_alg,
-                key_derivation: kd,
-                ..FbsConfig::default()
-            };
-            let (mut s, mut d, _) = endpoint_pair(cfg);
-            let pd = s.send(3, dgram(b"alternate algorithms"), true).unwrap();
-            assert_eq!(d.receive(pd).unwrap().body, b"alternate algorithms");
-        }
-    }
-
-    #[test]
-    fn triple_des_wire_differs_from_single_des() {
-        // Same flow key, same confounder seed: the TdeaCbc ciphertext must
-        // differ from DesCbc's (the algorithm-ID field actually selects a
-        // different cipher, not just a different label).
-        let single = FbsConfig::default();
-        let triple = FbsConfig {
-            enc_alg: EncAlgorithm::TdeaCbc,
-            ..FbsConfig::default()
-        };
-        let (mut s1, _, _) = endpoint_pair(single);
-        let (mut s3, mut d3, _) = endpoint_pair(triple);
-        let p1 = s1.send(9, dgram(b"cipher strength test"), true).unwrap();
-        let p3 = s3.send(9, dgram(b"cipher strength test"), true).unwrap();
-        assert_eq!(p1.header.confounder, p3.header.confounder, "same seed");
-        assert_ne!(p1.body, p3.body, "different ciphers, different wire");
-        assert_eq!(d3.receive(p3).unwrap().body, b"cipher strength test");
-    }
-
-    #[test]
     fn nop_crypto_mode_roundtrips_with_zero_mac() {
         let cfg = FbsConfig {
             nop_crypto: true,
@@ -1629,7 +1458,7 @@ pub(crate) mod tests {
         let (mut s, mut d, _) = endpoint_pair(cfg);
         let pd = s.send(1, dgram(b"measured payload"), true).unwrap();
         assert_eq!(pd.header.mac, vec![0u8; 16]);
-        assert_eq!(pd.header.enc_alg, EncAlgorithm::None); // NOP: no cipher
+        assert!(!pd.header.secret); // NOP: no cipher
         assert_eq!(pd.body, b"measured payload");
         assert_eq!(d.receive(pd).unwrap().body, b"measured payload");
     }

@@ -5,9 +5,9 @@
 #![cfg(feature = "props")]
 use fbs_core::cache::SoftCache;
 use fbs_core::fam::{Fam, FlowPolicy, FstEntry};
-use fbs_core::header::{EncAlgorithm, SecurityFlowHeader};
+use fbs_core::header::SecurityFlowHeader;
 use fbs_core::SflAllocator;
-use fbs_crypto::{CipherSuite, MacAlgorithm};
+use fbs_crypto::CipherSuite;
 use fbs_obs::{CacheKind, MetricsRegistry, MetricsSnapshot};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -17,25 +17,22 @@ fn header_strategy() -> impl Strategy<Value = SecurityFlowHeader> {
         any::<u64>(),
         any::<u32>(),
         any::<u32>(),
-        0u8..5,
-        0u8..8,
-        0u8..3,
+        any::<bool>(),
+        0usize..CipherSuite::ALL.len(),
         any::<u32>(),
         1usize..=16,
     )
-        .prop_map(|(sfl, conf, ts, mac_id, enc_id, suite_id, len, mac_len)| {
-            let mac_alg = MacAlgorithm::from_wire_id(mac_id).unwrap();
-            SecurityFlowHeader {
+        .prop_map(
+            |(sfl, conf, ts, secret, suite, len, mac_len)| SecurityFlowHeader {
                 sfl,
                 confounder: conf,
                 timestamp: ts,
-                mac_alg,
-                enc_alg: EncAlgorithm::from_wire_id(enc_id).unwrap(),
-                suite: CipherSuite::from_wire_id(suite_id).unwrap(),
+                secret,
+                suite: CipherSuite::ALL[suite],
                 plaintext_len: len,
-                mac: vec![0xAB; mac_len.min(mac_alg.output_len())],
-            }
-        })
+                mac: vec![0xAB; mac_len],
+            },
+        )
 }
 
 /// Test policy: u64 keys, modulo index, threshold expiry.
@@ -207,7 +204,8 @@ proptest! {
 mod protocol_props {
     use super::*;
     use fbs_core::{
-        Datagram, FbsConfig, FbsEndpoint, ManualClock, MasterKeyDaemon, PinnedDirectory, Principal,
+        Datagram, FbsConfig, FbsEndpoint, KeyDerivation, ManualClock, MasterKeyDaemon,
+        PinnedDirectory, Principal,
     };
     use fbs_crypto::dh::{DhGroup, PrivateValue};
     use std::sync::Arc;
@@ -286,14 +284,16 @@ mod protocol_props {
             fill in any::<u8>(),
             sfl in any::<u64>(),
             secret in any::<bool>(),
-            enc_id in 0u8..6,
+            suite in 0usize..CipherSuite::ALL.len(),
+            sha1 in any::<bool>(),
         ) {
             // Two sender endpoints with the SAME seed produce the same
             // confounder stream, so legacy `send` and the zero-copy
             // `seal_into` must emit identical wire bytes; `open_into` must
             // then recover the body.
             let cfg = FbsConfig {
-                enc_alg: EncAlgorithm::from_wire_id(enc_id).unwrap(),
+                suite: CipherSuite::ALL[suite],
+                key_derivation: if sha1 { KeyDerivation::Sha1 } else { KeyDerivation::Md5 },
                 ..FbsConfig::default()
             };
             let (mut legacy_tx, mut rx) = pair_with(cfg.clone());

@@ -216,11 +216,13 @@ impl Poly1305 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 16 {
-                let block = self.buf;
-                self.block(&block, 1 << 24);
-                self.buf_len = 0;
+            if self.buf_len < 16 {
+                // Still a partial block: keep it buffered.
+                return;
             }
+            let block = self.buf;
+            self.block(&block, 1 << 24);
+            self.buf_len = 0;
         }
         let mut chunks = data.chunks_exact(16);
         for chunk in &mut chunks {
@@ -354,14 +356,14 @@ If I could offer you only one tip for the future, sunscreen would be it.";
         let mut key = [0u8; 32];
         key[..16].copy_from_slice(
             &[
-                0x85, 0xd6, 0xbe, 0x78, 0x57, 0x55, 0x6d, 0x33, 0x7f, 0x44, 0x52, 0xfe, 0x42,
-                0xd5, 0x06, 0xa8,
+                0x85, 0xd6, 0xbe, 0x78, 0x57, 0x55, 0x6d, 0x33, 0x7f, 0x44, 0x52, 0xfe, 0x42, 0xd5,
+                0x06, 0xa8,
             ][..],
         );
         key[16..].copy_from_slice(
             &[
-                0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf, 0xf6, 0xaf, 0x41,
-                0x49, 0xf5, 0x1b,
+                0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf, 0xf6, 0xaf, 0x41, 0x49,
+                0xf5, 0x1b,
             ][..],
         );
         let tag = poly1305(&key, &[b"Cryptographic Forum Research Group"]);
@@ -395,6 +397,13 @@ If I could offer you only one tip for the future, sunscreen would be it.";
             p.update(&msg[split..]);
             assert_eq!(p.finalize(), oneshot, "split at {split}");
         }
+        // Several short updates in a row must all stay buffered until a
+        // block fills: the AEAD suite absorbs 4-byte header words first.
+        let mut p = Poly1305::new(&key);
+        for piece in msg.chunks(4) {
+            p.update(piece);
+        }
+        assert_eq!(p.finalize(), oneshot, "4-byte pieces");
     }
 
     /// Keystream over multiple blocks equals per-block generation.

@@ -414,80 +414,6 @@ pub fn ctr_xor_at(key: &Des, base: u64, start_block: u64, data: &mut [u8]) {
     }
 }
 
-/// A 64-bit block cipher: the interface the FIPS 81 modes operate over.
-/// Implemented by [`Des`] and [`TripleDes`] so every mode and the
-/// single-pass MAC+encrypt loop work with either.
-pub trait BlockCipher {
-    /// Encrypt one 8-byte block in place.
-    fn encrypt_block(&self, block: &mut [u8; 8]);
-    /// Decrypt one 8-byte block in place.
-    fn decrypt_block(&self, block: &mut [u8; 8]);
-}
-
-impl BlockCipher for Des {
-    fn encrypt_block(&self, block: &mut [u8; 8]) {
-        Des::encrypt_block(self, block)
-    }
-    fn decrypt_block(&self, block: &mut [u8; 8]) {
-        Des::decrypt_block(self, block)
-    }
-}
-
-impl BlockCipher for TripleDes {
-    fn encrypt_block(&self, block: &mut [u8; 8]) {
-        TripleDes::encrypt_block(self, block)
-    }
-    fn decrypt_block(&self, block: &mut [u8; 8]) {
-        TripleDes::decrypt_block(self, block)
-    }
-}
-
-/// Triple DES (EDE3): encrypt-decrypt-encrypt under three independent
-/// subkeys. CryptoLib shipped 3DES beside DES; FBS's algorithm-ID field
-/// lets a deployment select it when single DES's 56-bit key is too weak.
-/// Exposes the same block interface as [`Des`], so every FIPS 81 mode and
-/// the single-pass MAC+encrypt loop work unchanged.
-#[derive(Clone)]
-pub struct TripleDes {
-    k1: Des,
-    k2: Des,
-    k3: Des,
-}
-
-impl TripleDes {
-    /// Build from a 24-byte key (three DES keys, EDE3).
-    pub fn new(key: &[u8; 24]) -> Self {
-        TripleDes {
-            k1: Des::new(key[0..8].try_into().unwrap()),
-            k2: Des::new(key[8..16].try_into().unwrap()),
-            k3: Des::new(key[16..24].try_into().unwrap()),
-        }
-    }
-
-    /// Build in two-key (EDE2) form from 16 bytes: K3 = K1.
-    pub fn new_ede2(key: &[u8; 16]) -> Self {
-        TripleDes {
-            k1: Des::new(key[0..8].try_into().unwrap()),
-            k2: Des::new(key[8..16].try_into().unwrap()),
-            k3: Des::new(key[0..8].try_into().unwrap()),
-        }
-    }
-
-    /// Encrypt one block: `E_{k3}(D_{k2}(E_{k1}(x)))`.
-    pub fn encrypt_block(&self, block: &mut [u8; 8]) {
-        self.k1.encrypt_block(block);
-        self.k2.decrypt_block(block);
-        self.k3.encrypt_block(block);
-    }
-
-    /// Decrypt one block: `D_{k1}(E_{k2}(D_{k3}(x)))`.
-    pub fn decrypt_block(&self, block: &mut [u8; 8]) {
-        self.k3.decrypt_block(block);
-        self.k2.encrypt_block(block);
-        self.k1.decrypt_block(block);
-    }
-}
-
 /// The four DES weak keys (self-inverse key schedules) with parity bits
 /// set; [`is_weak_key`] checks parity-insensitively.
 const WEAK_KEYS: [u64; 4] = [
@@ -567,17 +493,17 @@ pub fn padded_len(len: usize) -> usize {
 /// The single-pass MAC+encrypt loop of §5.3 needs to process one block at a
 /// time; this and [`BlockDecryptor`] expose exactly that, and the
 /// whole-buffer [`encrypt`]/[`decrypt`] functions are built on them.
-pub struct BlockEncryptor<'a, C: BlockCipher = Des> {
-    des: &'a C,
+pub struct BlockEncryptor<'a> {
+    des: &'a Des,
     mode: Mode,
     /// CBC: previous ciphertext. CFB: previous ciphertext. OFB: keystream
     /// feedback. ECB: the constant whitening confounder.
     state: u64,
 }
 
-impl<'a, C: BlockCipher> BlockEncryptor<'a, C> {
+impl<'a> BlockEncryptor<'a> {
     /// Begin encrypting with `iv` (the duplicated confounder).
-    pub fn new(des: &'a C, mode: Mode, iv: u64) -> Self {
+    pub fn new(des: &'a Des, mode: Mode, iv: u64) -> Self {
         BlockEncryptor {
             des,
             mode,
@@ -616,15 +542,15 @@ impl<'a, C: BlockCipher> BlockEncryptor<'a, C> {
 }
 
 /// Streaming block decryptor; see [`BlockEncryptor`].
-pub struct BlockDecryptor<'a, C: BlockCipher = Des> {
-    des: &'a C,
+pub struct BlockDecryptor<'a> {
+    des: &'a Des,
     mode: Mode,
     state: u64,
 }
 
-impl<'a, C: BlockCipher> BlockDecryptor<'a, C> {
+impl<'a> BlockDecryptor<'a> {
     /// Begin decrypting with `iv` (the duplicated confounder).
-    pub fn new(des: &'a C, mode: Mode, iv: u64) -> Self {
+    pub fn new(des: &'a Des, mode: Mode, iv: u64) -> Self {
         BlockDecryptor {
             des,
             mode,
@@ -669,7 +595,7 @@ impl<'a, C: BlockCipher> BlockDecryptor<'a, C> {
 ///
 /// # Panics
 /// Panics if `data` is not a block multiple.
-pub fn encrypt_in_place<C: BlockCipher>(key: &C, iv: u64, mode: Mode, data: &mut [u8]) {
+pub fn encrypt_in_place(key: &Des, iv: u64, mode: Mode, data: &mut [u8]) {
     assert!(
         data.len().is_multiple_of(BLOCK_SIZE),
         "plaintext not a block multiple"
@@ -685,7 +611,7 @@ pub fn encrypt_in_place<C: BlockCipher>(key: &C, iv: u64, mode: Mode, data: &mut
 ///
 /// # Panics
 /// Panics if `data` is not a block multiple.
-pub fn decrypt_in_place<C: BlockCipher>(key: &C, iv: u64, mode: Mode, data: &mut [u8]) {
+pub fn decrypt_in_place(key: &Des, iv: u64, mode: Mode, data: &mut [u8]) {
     assert!(
         data.len().is_multiple_of(BLOCK_SIZE),
         "ciphertext not a block multiple"
@@ -698,7 +624,7 @@ pub fn decrypt_in_place<C: BlockCipher>(key: &C, iv: u64, mode: Mode, data: &mut
 
 /// Encrypt `plaintext` (any length; zero-padded to a block multiple) under
 /// `key` with the 64-bit `iv` (the duplicated confounder) in `mode`.
-pub fn encrypt<C: BlockCipher>(key: &C, iv: u64, mode: Mode, plaintext: &[u8]) -> Vec<u8> {
+pub fn encrypt(key: &Des, iv: u64, mode: Mode, plaintext: &[u8]) -> Vec<u8> {
     let mut data = zero_pad(plaintext);
     encrypt_in_place(key, iv, mode, &mut data);
     data
@@ -708,13 +634,7 @@ pub fn encrypt<C: BlockCipher>(key: &C, iv: u64, mode: Mode, plaintext: &[u8]) -
 ///
 /// # Panics
 /// Panics if `ciphertext` is not a block multiple or `orig_len` exceeds it.
-pub fn decrypt<C: BlockCipher>(
-    key: &C,
-    iv: u64,
-    mode: Mode,
-    ciphertext: &[u8],
-    orig_len: usize,
-) -> Vec<u8> {
+pub fn decrypt(key: &Des, iv: u64, mode: Mode, ciphertext: &[u8], orig_len: usize) -> Vec<u8> {
     assert!(orig_len <= ciphertext.len(), "orig_len exceeds ciphertext");
     let mut data = ciphertext.to_vec();
     decrypt_in_place(key, iv, mode, &mut data);
@@ -830,59 +750,6 @@ mod tests {
             }
             assert_eq!(inc, msg, "decrypt {mode:?}");
         }
-    }
-
-    #[test]
-    fn triple_des_roundtrip_and_known_vector() {
-        // EDE3 with all-equal subkeys degenerates to single DES — the
-        // classic interop check.
-        let single = Des::new(&0x0123456789ABCDEFu64.to_be_bytes());
-        let mut key24 = [0u8; 24];
-        for chunk in key24.chunks_mut(8) {
-            chunk.copy_from_slice(&0x0123456789ABCDEFu64.to_be_bytes());
-        }
-        let triple = TripleDes::new(&key24);
-        let mut b1 = *b"8bytemsg";
-        let mut b2 = *b"8bytemsg";
-        single.encrypt_block(&mut b1);
-        triple.encrypt_block(&mut b2);
-        assert_eq!(b1, b2, "EDE3 with equal keys == single DES");
-        triple.decrypt_block(&mut b2);
-        assert_eq!(&b2, b"8bytemsg");
-    }
-
-    #[test]
-    fn triple_des_distinct_keys_differ_from_single() {
-        let mut key24 = [0u8; 24];
-        key24[..8].copy_from_slice(b"key-one!");
-        key24[8..16].copy_from_slice(b"key-two!");
-        key24[16..].copy_from_slice(b"key-tre!");
-        let triple = TripleDes::new(&key24);
-        let single = Des::new(b"key-one!");
-        let mut b1 = *b"blockblk";
-        let mut b2 = *b"blockblk";
-        triple.encrypt_block(&mut b1);
-        single.encrypt_block(&mut b2);
-        assert_ne!(b1, b2);
-        triple.decrypt_block(&mut b1);
-        assert_eq!(&b1, b"blockblk");
-    }
-
-    #[test]
-    fn ede2_sets_k3_equal_k1() {
-        let mut key16 = [0u8; 16];
-        key16[..8].copy_from_slice(b"key-one!");
-        key16[8..].copy_from_slice(b"key-two!");
-        let ede2 = TripleDes::new_ede2(&key16);
-        let mut key24 = [0u8; 24];
-        key24[..16].copy_from_slice(&key16);
-        key24[16..].copy_from_slice(b"key-one!");
-        let ede3 = TripleDes::new(&key24);
-        let mut b1 = *b"testblok";
-        let mut b2 = *b"testblok";
-        ede2.encrypt_block(&mut b1);
-        ede3.encrypt_block(&mut b2);
-        assert_eq!(b1, b2);
     }
 
     #[test]

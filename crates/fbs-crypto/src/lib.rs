@@ -6,7 +6,9 @@
 //! * [`des`] — DES (FIPS 46) with ECB/CBC/CFB/OFB modes (FIPS 81);
 //! * [`mod@md5`] — MD5 (RFC 1321);
 //! * [`mod@sha1`] — SHA-1 / "SHS" (FIPS 180);
-//! * [`mac`] — the paper's prefix-keyed MAC plus RFC 2104 HMAC;
+//! * [`mac`] — the paper's prefix-keyed MAC and the Poly1305 wrapper;
+//! * [`chacha`] — ChaCha20 and Poly1305 (RFC 8439) for the AEAD suite;
+//! * [`suite`] — the cipher suites and their header algorithm-ID word;
 //! * [`bignum`] + [`dh`] — Diffie-Hellman over the Oakley MODP groups;
 //! * [`rsa`] — RSA key generation (Miller-Rabin) and signatures for the
 //!   certificate authority;
@@ -20,7 +22,7 @@
 //! fidelity. Do not use this crate to protect real traffic.
 //!
 //! All implementations are validated against published test vectors (FIPS
-//! worked examples, RFC 1321 appendix, RFC 2202, CRC-32 check value) in
+//! worked examples, RFC 1321 appendix, RFC 8439, CRC-32 check value) in
 //! their module tests.
 
 #![forbid(unsafe_code)]

@@ -279,6 +279,7 @@ impl CombinedTable {
 mod tests {
     use super::*;
     use fbs_core::FlowKey;
+    use fbs_crypto::CipherSuite;
 
     fn tuple(sport: u16) -> FiveTuple {
         FiveTuple {
@@ -295,9 +296,10 @@ mod tests {
     }
 
     fn fake_key(sfl: u64) -> Result<Arc<SealedFlowKey>, ()> {
-        Ok(Arc::new(SealedFlowKey::seal(FlowKey(
-            sfl.to_be_bytes().repeat(2),
-        ))))
+        Ok(Arc::new(SealedFlowKey::seal(
+            FlowKey(sfl.to_be_bytes().repeat(2)),
+            CipherSuite::Paper,
+        )))
     }
 
     #[test]

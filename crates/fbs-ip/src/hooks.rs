@@ -141,9 +141,8 @@ use fbs_core::protocol::EndpointStats;
 use fbs_core::{
     derive_flow_key, AtomicCacheStats, BatchVerifier, BudgetKind, BudgetSnapshot, BufferPool,
     Clock, Fam, FbsConfig, FbsEndpoint, FbsError, FlowCodec, FlowKeyId, FstEntry,
-    KeyUnavailableVerdict, KeyingService, MemoryBudget, ParkStats, Parked, ParkingQueue,
-    Principal, Published, RuntimeError, SealedFlowKey, SflAllocator, SoftCache, SpscRing,
-    WorkerFaultInjector,
+    KeyUnavailableVerdict, KeyingService, MemoryBudget, ParkStats, Parked, ParkingQueue, Principal,
+    Published, RuntimeError, SealedFlowKey, SflAllocator, SoftCache, SpscRing, WorkerFaultInjector,
 };
 use fbs_crypto::{crc32, CipherSuite};
 use fbs_net::ip::Proto;
@@ -832,9 +831,9 @@ fn derive_key(
     let t0 = obs.as_ref().map(|_| shared.clock.now_micros());
     let timer = obs.as_ref().map(|_| StageTimer::start());
     let master = shared.keying.master_key(peer)?;
-    // seal_for (via seal_key) pre-builds every schedule the configured
-    // suite needs — TDEA subkeys, the ChaCha key, the cached MAC key
-    // prefix — so the per-datagram path never initializes lazily.
+    // seal_key pre-builds every schedule the configured suite needs —
+    // the DES subkeys, the ChaCha key, the cached MAC key prefix — so the
+    // per-datagram path never initializes lazily.
     let k = Arc::new(shared.ep_cfg.seal_key(derive_flow_key(
         shared.ep_cfg.key_derivation,
         sfl,
@@ -1151,6 +1150,7 @@ fn verify(
                     done_idx: token,
                     shard_local,
                     bytes: body.len() as u64,
+                    secret: view.secret,
                 });
             }
             let delta = payload.len() as isize - body.len() as isize;
@@ -1368,6 +1368,8 @@ struct DeferredOpen {
     shard_local: usize,
     /// Recovered body length, accounted on pass.
     bytes: u64,
+    /// The header's `secret` flag, accounted as a decryption on pass.
+    secret: bool,
 }
 
 /// Per-worker batch-authentication state: the MABS-style deferred MAC
@@ -1429,7 +1431,7 @@ fn resolve_batch_auth(
                 },
             );
         } else {
-            codec.note_deferred_pass(d.bytes);
+            codec.note_deferred_pass(d.bytes, d.secret);
             shared.stats.verified.fetch_add(1, Ordering::Relaxed);
             record(
                 obs,
@@ -1946,6 +1948,7 @@ fn release_input_worker(shared: &HookShared, shards: &mut [Shard], now_us: u64) 
             match res {
                 Ok((body, deferred)) => {
                     if deferred {
+                        let pending = auth.deferred.pop().expect("verify queued the open");
                         auth.failed.clear();
                         auth.deferred.clear();
                         auth.verifier.resolve(&mut auth.failed);
@@ -1963,7 +1966,9 @@ fn release_input_worker(shared: &HookShared, shards: &mut [Shard], now_us: u64) 
                             recycle.push(body);
                             continue;
                         }
-                        shard.codec.note_deferred_pass(body.len() as u64);
+                        shard
+                            .codec
+                            .note_deferred_pass(pending.bytes, pending.secret);
                     }
                     let waited_us = shard.in_park.note_released(parked_at_us, now_us);
                     shared.stats.verified.fetch_add(1, Ordering::Relaxed);
@@ -2778,13 +2783,13 @@ impl FbsIpHooks {
             .count()
     }
 
-    /// Worst-case payload growth for the configured algorithms: the fixed
-    /// header prefix, the (possibly truncated) MAC, and up to 7 bytes of
-    /// DES block padding.
+    /// Worst-case payload growth for the configured suite: the fixed
+    /// header prefix, the MAC as the codec ships it, and up to 7 bytes of
+    /// DES block padding for any encrypting config (the stream suites pad
+    /// nothing, but keep the same allowance).
     fn overhead_of(cfg: &IpMappingConfig) -> usize {
-        let mac_len = cfg.fbs.mac_truncate.unwrap_or(cfg.fbs.mac_alg.output_len());
         let padding = if cfg.encrypt { 7 } else { 0 };
-        FIXED_PREFIX_LEN + mac_len + padding
+        FIXED_PREFIX_LEN + cfg.fbs.shipped_mac_len() + padding
     }
 }
 
@@ -3122,6 +3127,41 @@ mod tests {
             42,
         );
         hooks
+    }
+
+    /// The MRT sizes segments from `max_overhead`, so it must cover what
+    /// the codec really ships: a truncation below the 4-byte floor is
+    /// clamped on the wire and must be clamped in the allowance too.
+    #[test]
+    fn max_overhead_covers_the_wire_for_every_suite_and_truncation() {
+        for suite in CipherSuite::ALL {
+            for truncate in [None, Some(0), Some(2), Some(4), Some(8), Some(64)] {
+                let world = World::new();
+                let _b = world.host(B); // publishes B's certificate
+                let mut cfg = world.cfg();
+                cfg.fbs.suite = suite;
+                cfg.fbs.mac_truncate = truncate;
+                let mut a = hooks_with(&world, cfg);
+                let mut worst = 0;
+                for len in 0..16 {
+                    let mut payload = vec![0x0F, 0xA0, 0x00, 0x35];
+                    payload.resize(4 + len, 0xAB);
+                    let mut header = Ipv4Header::new(A, B, Proto::Udp, payload.len());
+                    match a.output(&mut header, payload.clone(), 1_000) {
+                        HookOutcome::Pass(wire) => worst = worst.max(wire.len() - payload.len()),
+                        other => panic!("{suite:?} {truncate:?}: {other:?}"),
+                    }
+                }
+                assert!(
+                    worst <= a.max_overhead(),
+                    "{suite:?} {truncate:?}: wire grew {worst} > {}",
+                    a.max_overhead()
+                );
+                if truncate.is_none() {
+                    assert_eq!(a.max_overhead(), 47, "{suite:?}");
+                }
+            }
+        }
     }
 
     #[test]

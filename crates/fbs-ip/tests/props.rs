@@ -2,17 +2,17 @@
 //! datagrams through [`Host::ip_output_batch`] / [`Host::deliver_frames`]
 //! (one `process_batch` hook call) is bit-identical to pushing the same
 //! datagrams one at a time through the scalar `ip_output` /
-//! `deliver_frame` wrappers — across padding edges, every cipher mode,
-//! MAC truncation, and batches mixing covered (UDP) and uncovered
+//! `deliver_frame` wrappers — across padding edges, every cipher suite
+//! with and without encryption, both key-derivation hashes, MAC truncation, and batches mixing covered (UDP) and uncovered
 //! (bypass) protocols.
 
 // Property tests are opt-in: run with `cargo test --features props`.
 #![cfg(feature = "props")]
 
 use fbs_cert::{CertificateAuthority, Directory};
-use fbs_core::header::EncAlgorithm;
-use fbs_core::ManualClock;
+use fbs_core::{KeyDerivation, ManualClock};
 use fbs_crypto::dh::DhGroup;
+use fbs_crypto::CipherSuite;
 use fbs_ip::hooks::IpMappingConfig;
 use fbs_ip::host::build_secure_host;
 use fbs_net::ip::{Ipv4Header, Proto};
@@ -87,10 +87,13 @@ fn world(cfg: &IpMappingConfig) -> (Host, Host) {
     (sender, receiver)
 }
 
-fn cfg_for(enc_id: u8, encrypt: bool, truncate: bool) -> IpMappingConfig {
+fn cfg_for(suite: CipherSuite, sha1: bool, encrypt: bool, truncate: bool) -> IpMappingConfig {
     let mut cfg = IpMappingConfig::default();
     cfg.encrypt = encrypt;
-    cfg.fbs.enc_alg = EncAlgorithm::from_wire_id(enc_id).expect("valid wire id");
+    cfg.fbs.suite = suite;
+    if sha1 {
+        cfg.fbs.key_derivation = KeyDerivation::Sha1;
+    }
     cfg.fbs.mac_truncate = truncate.then_some(8);
     cfg
 }
@@ -109,15 +112,9 @@ fn item_strategy() -> impl Strategy<Value = Item> {
 /// The pipeline equivalence law: batch and scalar submission produce
 /// byte-identical wire frames, and batch and scalar delivery produce
 /// byte-identical plaintexts in the same order.
-fn check_equivalence(
-    items: &[Item],
-    enc_id: u8,
-    encrypt: bool,
-    truncate: bool,
-) -> Result<(), TestCaseError> {
-    let cfg = cfg_for(enc_id, encrypt, truncate);
-    let (mut tx_scalar, mut rx_scalar) = world(&cfg);
-    let (mut tx_batch, mut rx_batch) = world(&cfg);
+fn check_equivalence(items: &[Item], cfg: &IpMappingConfig) -> Result<(), TestCaseError> {
+    let (mut tx_scalar, mut rx_scalar) = world(cfg);
+    let (mut tx_batch, mut rx_batch) = world(cfg);
 
     // ---- output: scalar loop vs one batch call ----
     let mut scalar_results = Vec::new();
@@ -183,10 +180,12 @@ proptest! {
     #[test]
     fn batch_pipeline_is_bit_identical_to_scalar(
         items in proptest::collection::vec(item_strategy(), 1..5),
-        enc_id in 0u8..6,
+        suite in 0usize..CipherSuite::ALL.len(),
+        sha1 in any::<bool>(),
         encrypt in any::<bool>(),
         truncate in any::<bool>(),
     ) {
-        check_equivalence(&items, enc_id, encrypt, truncate)?;
+        let cfg = cfg_for(CipherSuite::ALL[suite], sha1, encrypt, truncate);
+        check_equivalence(&items, &cfg)?;
     }
 }

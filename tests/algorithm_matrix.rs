@@ -1,14 +1,14 @@
-//! Full algorithm-ID matrix: every MAC algorithm × every encryption
-//! algorithm × key-derivation hash must round trip, and receivers must
-//! honour the *header's* algorithm fields (§5.2's algorithm-identification
-//! field in action).
+//! The algorithm matrix: every cipher suite × `secret` flag ×
+//! key-derivation hash must round trip, and the header must name exactly
+//! the suite's algorithms (§5.2's algorithm-identification field, with the
+//! suite as its one selector).
 
 use fbs::core::{
-    Datagram, EncAlgorithm, FbsConfig, FbsEndpoint, KeyDerivation, ManualClock, MasterKeyDaemon,
-    PinnedDirectory, Principal,
+    Datagram, FbsConfig, FbsEndpoint, KeyDerivation, ManualClock, MasterKeyDaemon, PinnedDirectory,
+    Principal,
 };
 use fbs::crypto::dh::{DhGroup, PrivateValue};
-use fbs::crypto::MacAlgorithm;
+use fbs::crypto::CipherSuite;
 use std::sync::Arc;
 
 fn pair(tx_cfg: FbsConfig, rx_cfg: FbsConfig) -> (FbsEndpoint, FbsEndpoint) {
@@ -40,110 +40,83 @@ fn pair(tx_cfg: FbsConfig, rx_cfg: FbsConfig) -> (FbsEndpoint, FbsEndpoint) {
     )
 }
 
-const MACS: [MacAlgorithm; 4] = [
-    MacAlgorithm::KeyedMd5,
-    MacAlgorithm::KeyedSha1,
-    MacAlgorithm::HmacMd5,
-    MacAlgorithm::HmacSha1,
-];
+const DERIVATIONS: [KeyDerivation; 2] = [KeyDerivation::Md5, KeyDerivation::Sha1];
 
-const ENCS: [EncAlgorithm; 6] = [
-    EncAlgorithm::None,
-    EncAlgorithm::DesCbc,
-    EncAlgorithm::DesEcb,
-    EncAlgorithm::DesCfb,
-    EncAlgorithm::DesOfb,
-    EncAlgorithm::TdeaCbc,
-];
+fn dgram(body: &[u8]) -> Datagram {
+    Datagram::new(
+        Principal::named("alice"),
+        Principal::named("bob"),
+        body.to_vec(),
+    )
+}
 
 #[test]
-fn every_mac_times_enc_combination_roundtrips() {
-    for kd in [KeyDerivation::Md5, KeyDerivation::Sha1] {
-        for mac_alg in MACS {
-            for enc_alg in ENCS {
+fn every_suite_secret_and_derivation_roundtrips() {
+    for kd in DERIVATIONS {
+        for suite in CipherSuite::ALL {
+            for secret in [false, true] {
                 let cfg = FbsConfig {
                     key_derivation: kd,
-                    mac_alg,
-                    enc_alg,
+                    suite,
                     ..FbsConfig::default()
                 };
                 let (mut tx, mut rx) = pair(cfg.clone(), cfg);
-                let body = format!("combo {mac_alg:?}/{enc_alg:?}/{kd:?}");
-                let d = Datagram::new(
-                    Principal::named("alice"),
-                    Principal::named("bob"),
-                    body.clone().into_bytes(),
+                let body = format!("combo {suite:?}/{secret}/{kd:?}").into_bytes();
+                let pd = tx.send(1, dgram(&body), secret).unwrap();
+                assert_eq!(pd.header.suite, suite);
+                assert_eq!(pd.header.secret, secret);
+                let wire = pd.encode_payload();
+                assert_eq!(
+                    wire[16..20],
+                    suite.alg_word(secret, 16),
+                    "bytes 16-19 follow from the suite and the secret flag"
                 );
-                let pd = tx.send(1, d, true).unwrap();
-                assert_eq!(pd.header.mac_alg, mac_alg);
-                assert_eq!(pd.header.enc_alg, enc_alg);
+                assert_eq!(secret, pd.body != body, "{suite:?}/{secret}/{kd:?}");
                 let got = rx.receive(pd).unwrap();
-                assert_eq!(got.body, body.into_bytes(), "{mac_alg:?}/{enc_alg:?}");
+                assert_eq!(got.body, body, "{suite:?}/{secret}/{kd:?}");
             }
         }
     }
 }
 
 #[test]
-fn receiver_uses_header_algorithms_not_its_own_config() {
-    // Sender configured for HMAC-SHA1 + 3DES; receiver configured with the
-    // paper defaults. The receiver must still verify, because algorithm
-    // identity travels in the header (§5.2) — only the key-derivation hash
-    // (deployment-wide, tied to the keying infrastructure) must match.
-    let tx_cfg = FbsConfig {
-        mac_alg: MacAlgorithm::HmacSha1,
-        enc_alg: EncAlgorithm::TdeaCbc,
-        ..FbsConfig::default()
-    };
-    let rx_cfg = FbsConfig::default();
-    let (mut tx, mut rx) = pair(tx_cfg, rx_cfg);
-    let d = Datagram::new(
-        Principal::named("alice"),
-        Principal::named("bob"),
-        b"negotiation-free agility".to_vec(),
-    );
-    let pd = tx.send(1, d, true).unwrap();
-    assert_eq!(rx.receive(pd).unwrap().body, b"negotiation-free agility");
-}
-
-#[test]
 fn mismatched_key_derivation_fails_closed() {
-    // The one parameter that MUST match: K_f derivation. A sender deriving
-    // with SHA-1 against a receiver deriving with MD5 produces different
-    // flow keys, so the MAC fails — fail closed, never fail open.
-    let tx_cfg = FbsConfig {
-        key_derivation: KeyDerivation::Sha1,
-        ..FbsConfig::default()
-    };
-    let rx_cfg = FbsConfig {
-        key_derivation: KeyDerivation::Md5,
-        ..FbsConfig::default()
-    };
-    let (mut tx, mut rx) = pair(tx_cfg, rx_cfg);
-    let d = Datagram::new(
-        Principal::named("alice"),
-        Principal::named("bob"),
-        b"must not verify".to_vec(),
-    );
-    let pd = tx.send(1, d, false).unwrap();
-    assert!(rx.receive(pd).is_err());
+    // Besides the suite, the one parameter that MUST match: K_f
+    // derivation. A sender deriving with SHA-1 against a receiver deriving
+    // with MD5 produces different flow keys, so the MAC fails — fail
+    // closed, never fail open — under every suite, secret or not.
+    for suite in CipherSuite::ALL {
+        for secret in [false, true] {
+            let tx_cfg = FbsConfig {
+                key_derivation: KeyDerivation::Sha1,
+                suite,
+                ..FbsConfig::default()
+            };
+            let rx_cfg = FbsConfig {
+                key_derivation: KeyDerivation::Md5,
+                suite,
+                ..FbsConfig::default()
+            };
+            let (mut tx, mut rx) = pair(tx_cfg, rx_cfg);
+            let pd = tx.send(1, dgram(b"must not verify"), secret).unwrap();
+            assert!(rx.receive(pd).is_err(), "{suite:?}/{secret}");
+        }
+    }
 }
 
 #[test]
 fn truncated_macs_roundtrip_at_every_length() {
-    for n in [4usize, 8, 12, 16] {
-        let cfg = FbsConfig {
-            mac_truncate: Some(n),
-            ..FbsConfig::default()
-        };
-        let (mut tx, mut rx) = pair(cfg.clone(), cfg);
-        let d = Datagram::new(
-            Principal::named("alice"),
-            Principal::named("bob"),
-            vec![7u8; 100],
-        );
-        let pd = tx.send(1, d, true).unwrap();
-        assert_eq!(pd.header.mac.len(), n);
-        assert!(rx.receive(pd).is_ok(), "truncate {n}");
+    for suite in CipherSuite::ALL {
+        for n in [4usize, 8, 12, 16] {
+            let cfg = FbsConfig {
+                mac_truncate: Some(n),
+                suite,
+                ..FbsConfig::default()
+            };
+            let (mut tx, mut rx) = pair(cfg.clone(), cfg);
+            let pd = tx.send(1, dgram(&[7u8; 100]), true).unwrap();
+            assert_eq!(pd.header.mac.len(), n);
+            assert!(rx.receive(pd).is_ok(), "{suite:?} truncate {n}");
+        }
     }
 }

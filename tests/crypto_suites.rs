@@ -1,8 +1,9 @@
-//! Cross-suite integration: the PR 10 crypto plane. Every cipher-suite
+//! Cross-suite integration for the crypto plane. Every cipher-suite
 //! profile must round trip end to end, batch (zero-copy `seal_into`) and
 //! scalar (`send`) sealing must be bit-identical per profile, a flow
-//! sealed under one suite must never open under another, the paper
-//! profile's wire bytes are pinned (bit-identical DES+MD5), and the
+//! sealed under one suite must never open under another, the wire bytes of
+//! every suite × `secret` are pinned (the paper profile's bit-identical
+//! DES+MD5 among them), rewritten algorithm-ID bytes never open, and the
 //! `mac_truncate = Some(0)` forgery hole stays closed.
 
 use fbs::core::{
@@ -61,9 +62,13 @@ fn suite_cfg(suite: CipherSuite) -> FbsConfig {
 fn every_suite_roundtrips_end_to_end() {
     for &suite in CipherSuite::ALL.iter() {
         let (mut tx, mut rx) = pair(suite_cfg(suite), suite_cfg(suite));
-        for (i, body) in [b"first datagram".as_slice(), b"", b"third, longer datagram body"]
-            .iter()
-            .enumerate()
+        for (i, body) in [
+            b"first datagram".as_slice(),
+            b"",
+            b"third, longer datagram body",
+        ]
+        .iter()
+        .enumerate()
         {
             let pd = tx.send(1, dgram(body), true).unwrap();
             assert_eq!(pd.header.suite, suite, "suite must ride the header");
@@ -84,8 +89,13 @@ fn zero_copy_seal_is_bit_identical_to_scalar_send_per_suite() {
         let (mut batch_tx, mut rx) = pair(suite_cfg(suite), suite_cfg(suite));
         let bob = Principal::named("bob");
         for round in 0..8u8 {
-            let body: Vec<u8> = (0..(round as usize) * 17 + 3).map(|i| i as u8 ^ round).collect();
-            let wire_scalar = scalar_tx.send(1, dgram(&body), true).unwrap().encode_payload();
+            let body: Vec<u8> = (0..(round as usize) * 17 + 3)
+                .map(|i| i as u8 ^ round)
+                .collect();
+            let wire_scalar = scalar_tx
+                .send(1, dgram(&body), true)
+                .unwrap()
+                .encode_payload();
             let mut wire_batch = Vec::new();
             batch_tx
                 .seal_into(1, &bob, &body, true, &mut wire_batch)
@@ -143,6 +153,68 @@ fn paper_suite_wire_bytes_are_pinned() {
     assert_eq!(got.body, b"golden paper datagram".to_vec());
 }
 
+/// Every suite × `secret`, pinned like the paper frame above. The paper
+/// rows are bit-identical to the wire format from before the suites
+/// existed; the fast-DES and AEAD rows pin their MAC over the algorithm-ID
+/// word (header bytes 16–19), which binds the `secret` flag.
+#[test]
+fn every_suite_and_secret_wire_is_pinned() {
+    for (suite, secret, golden) in GOLDEN_WIRES {
+        let (mut tx, mut rx) = pair(suite_cfg(suite), suite_cfg(suite));
+        let pd = tx.send(7, dgram(b"golden paper datagram"), secret).unwrap();
+        let wire = pd.encode_payload();
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden, "{suite:?} secret={secret}: wire drifted");
+        let got = rx.receive(pd).unwrap();
+        assert_eq!(got.body, b"golden paper datagram".to_vec());
+    }
+}
+
+/// Header tampering: bytes 16 and 17 follow from the suite (byte 19) and
+/// the `secret` flag, so a frame with either rewritten to any other value
+/// must be rejected — never delivered, never counted as a receive or a
+/// decryption. The 21-byte body is not a DES block multiple and the
+/// 24-byte one is, so a paper-suite flip meets both the framing check and
+/// the MAC.
+#[test]
+fn rewritten_algorithm_bytes_never_open() {
+    let alice = Principal::named("alice");
+    let bob = Principal::named("bob");
+    for suite in CipherSuite::ALL {
+        for secret in [false, true] {
+            for body in [&b"golden paper datagram"[..], b"block-aligned datagram!!"] {
+                let (mut tx, mut rx) = pair(suite_cfg(suite), suite_cfg(suite));
+                let mut wire = Vec::new();
+                tx.seal_into(1, &bob, body, secret, &mut wire).unwrap();
+                let mut out = Vec::new();
+                for byte in [16, 17] {
+                    for value in 0..=255u8 {
+                        if value == wire[byte] {
+                            continue;
+                        }
+                        let mut forged = wire.clone();
+                        forged[byte] = value;
+                        let before = rx.stats();
+                        let case = format!(
+                            "{suite:?} secret={secret} len={}: byte {byte} {} -> {value}",
+                            body.len(),
+                            wire[byte]
+                        );
+                        assert!(rx.open_into(&alice, &forged, &mut out).is_err(), "{case}");
+                        let after = rx.stats();
+                        assert_eq!(after.receives, before.receives, "{case}");
+                        assert_eq!(after.decryptions, before.decryptions, "{case}");
+                    }
+                }
+                // The untouched frame still opens.
+                rx.open_into(&alice, &wire, &mut out).unwrap();
+                assert_eq!(out, body);
+                assert_eq!(rx.stats().decryptions, u64::from(secret));
+            }
+        }
+    }
+}
+
 /// Regression for the `mac_truncate = Some(0)` forgery: a zero-length
 /// shipped MAC compares vacuously equal, so every forged datagram
 /// verified. Config validation now rejects sub-minimum truncation and
@@ -192,3 +264,13 @@ fn mac_truncate_zero_forgery_stays_closed() {
 /// Pinned by `paper_suite_wire_bytes_are_pinned`; regenerate only for a
 /// deliberate, documented wire-format change.
 const GOLDEN_PAPER_WIRE_HEX: &str = "0000000000000007cd9f4061000002dd000110000000001580ff5904372d62580abe3f77e1fae56fdfb73f00026e063f69a738c02ab627762b642832ae161c81";
+
+/// Pinned by `every_suite_and_secret_wire_is_pinned`; same rule.
+const GOLDEN_WIRES: [(CipherSuite, bool, &str); 6] = [
+    (CipherSuite::Paper, false, "0000000000000007cd9f4061000002dd000010000000001580ff5904372d62580abe3f77e1fae56f676f6c64656e20706170657220646174616772616d"),
+    (CipherSuite::Paper, true, GOLDEN_PAPER_WIRE_HEX),
+    (CipherSuite::FastDes, false, "0000000000000007cd9f4061000002dd000010010000001589831b69ef59ef96e578e70db76dd0a1676f6c64656e20706170657220646174616772616d"),
+    (CipherSuite::FastDes, true, "0000000000000007cd9f4061000002dd00061001000000153c144285c361691ad79459686f8e54abd0b9670344fd1593dbc4f552fa8751bf5dbe7b2964"),
+    (CipherSuite::AeadChaPoly, false, "0000000000000007cd9f4061000002dd040010020000001587d7df4dff4e3dfd418523bf4dd2b0c5676f6c64656e20706170657220646174616772616d"),
+    (CipherSuite::AeadChaPoly, true, "0000000000000007cd9f4061000002dd0407100200000015aba06a114907387b9951f68619730e926d3202fd31006ee9e64ff6dfc17aa3b86fa5945f43"),
+];
