@@ -8,23 +8,29 @@ use fbs_crypto::{crc32, des, keyed_digest, md5, sha1, Bbs, Des, DesMode, Lcg64};
 
 fn bench_ciphers(c: &mut Criterion) {
     let mut g = c.benchmark_group("des");
-    let buf = vec![0xA5u8; 64 * 1024];
     let key = Des::new(b"benchkey");
-    g.throughput(Throughput::Bytes(buf.len() as u64));
-    for mode in [DesMode::Cbc, DesMode::Ecb, DesMode::Cfb, DesMode::Ofb] {
-        g.bench_function(format!("encrypt-64k-{mode:?}"), |b| {
-            b.iter(|| des::encrypt(&key, 0xDEAD_BEEF, mode, black_box(&buf)))
+    // 8 KB is the nfs_bulk datagram; 64 KB the long-buffer rate.
+    for size in [8 * 1024, 64 * 1024] {
+        let buf = vec![0xA5u8; size];
+        let kb = size / 1024;
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(format!("cbc-encrypt-{kb}k"), |b| {
+            let mut data = buf.clone();
+            b.iter(|| des::encrypt_in_place(&key, 0xDEAD_BEEF, DesMode::Cbc, black_box(&mut data)))
+        });
+        g.bench_function(format!("cbc-decrypt-{kb}k"), |b| {
+            let mut data = buf.clone();
+            b.iter(|| des::decrypt_in_place(&key, 0xDEAD_BEEF, DesMode::Cbc, black_box(&mut data)))
         });
     }
-    g.bench_function("decrypt-64k-Cbc", |b| {
-        let ct = des::encrypt(&key, 0xDEAD_BEEF, DesMode::Cbc, &buf);
-        b.iter(|| des::decrypt(&key, 0xDEAD_BEEF, DesMode::Cbc, black_box(&ct), buf.len()))
-    });
     g.finish();
 }
 
 fn bench_hashes(c: &mut Criterion) {
     let mut g = c.benchmark_group("hash");
+    let small = vec![0xA5u8; 8 * 1024];
+    g.throughput(Throughput::Bytes(small.len() as u64));
+    g.bench_function("md5-8k", |b| b.iter(|| md5::md5(black_box(&small))));
     let buf = vec![0xA5u8; 64 * 1024];
     g.throughput(Throughput::Bytes(buf.len() as u64));
     g.bench_function("md5-64k", |b| b.iter(|| md5::md5(black_box(&buf))));

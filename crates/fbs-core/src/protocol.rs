@@ -12,8 +12,9 @@
 //! match — an acknowledged pseudo-code shorthand).
 //!
 //! Data-touching operations are combined per §5.3: with
-//! [`FbsConfig::single_pass`] the MAC absorption and block encryption
-//! proceed block-by-block in one loop over the payload.
+//! [`FbsConfig::single_pass`] the MAC absorption and encryption proceed
+//! chunk by chunk in one loop over the payload, and the receive side always
+//! decrypts and absorbs each chunk in one pass.
 
 use crate::batchauth::BatchVerifier;
 use crate::cache::{CacheStats, SoftCache};
@@ -27,12 +28,10 @@ use crate::principal::Principal;
 use crate::replay::FreshnessWindow;
 use fbs_crypto::chacha::{ChaCha20, Poly1305};
 use fbs_crypto::crc32::Crc32;
-use fbs_crypto::des::{
-    ctr_xor_at, decrypt_in_place, encrypt_in_place, padded_len, BlockEncryptor, BLOCK_SIZE,
-};
+use fbs_crypto::des::{ctr_xor_at, decrypt_in_place, encrypt_in_place, padded_len, BLOCK_SIZE};
 use fbs_crypto::mac::MAX_MAC_SIZE;
 use fbs_crypto::rng::Lcg64;
-use fbs_crypto::{crc32, mac_eq, CipherSuite, DesMode};
+use fbs_crypto::{crc32, mac_eq, CipherSuite, DesMode, MacContext};
 use fbs_obs::{CacheKind, Counter, Event, MetricsRegistry, MetricsSnapshot};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -552,21 +551,23 @@ impl FlowCodec {
         let mut expected = [0u8; MAX_MAC_SIZE];
         match h.suite {
             CipherSuite::Paper => {
-                if let Err(e) = open_body_into(h, key, body, out) {
-                    self.note_malformed();
-                    return Err(e);
-                }
-                if self.cfg.nop_crypto {
-                    return Ok(None);
-                }
                 // The paper layout: MAC over confounder | timestamp |
                 // plaintext — bit-identical to the pre-suite wire format.
                 // A flipped `secret` flag cannot pass: decrypting cleartext
                 // (or not decrypting ciphertext) changes the MAC input.
-                let mut ctx = key.mac_begin();
-                ctx.update(&h.confounder.to_be_bytes());
-                ctx.update(&h.timestamp.to_be_bytes());
-                ctx.update(out);
+                let mut ctx = (!self.cfg.nop_crypto).then(|| {
+                    let mut ctx = key.mac_begin();
+                    ctx.update(&h.confounder.to_be_bytes());
+                    ctx.update(&h.timestamp.to_be_bytes());
+                    ctx
+                });
+                if let Err(e) = open_body_into(h, key, body, out, ctx.as_mut()) {
+                    self.note_malformed();
+                    return Err(e);
+                }
+                let Some(ctx) = ctx else {
+                    return Ok(None);
+                };
                 ctx.finalize_into(&mut expected);
             }
             CipherSuite::FastDes => {
@@ -1038,10 +1039,11 @@ fn aead_nonce(sfl: u64, confounder: u32, timestamp: u32) -> [u8; 12] {
     nonce
 }
 
-/// Fused chunk size for the fast-DES single-pass loop: MAC absorption and
-/// CTR keystream XOR alternate over chunks this large (a multiple of both
-/// the DES block and the 4-wide keystream stride).
-const CTR_FUSE_CHUNK: usize = 256;
+/// Fused chunk size of the single-pass loops: MAC absorption and the
+/// cipher alternate over chunks this large — one MD5 block, and one
+/// eight-lane pass of the DES kernels — so each chunk is still in L1 when
+/// its second touch comes.
+const FUSE_CHUNK: usize = 64;
 
 /// Compute the MAC and optionally encrypt, honouring the single-pass
 /// configuration — entirely in place. `body` is the wire body region:
@@ -1075,7 +1077,7 @@ fn seal_core(
         CipherSuite::FastDes => {
             // Fast profile: prefix-keyed MAC (cached key prefix) over
             // alg word | confounder | timestamp | plaintext, fused with the
-            // 4-wide DES-CTR keystream XOR in one pass over the data.
+            // eight-lane DES-CTR keystream XOR in one pass over the data.
             debug_assert_eq!(body.len(), plaintext_len);
             let mut ctx = key.mac_begin();
             ctx.update(&word);
@@ -1083,14 +1085,11 @@ fn seal_core(
             ctx.update(&timestamp.to_be_bytes());
             if secret {
                 let base = ctr_base(confounder, timestamp);
-                let mut off = 0;
-                while off < body.len() {
-                    let n = (body.len() - off).min(CTR_FUSE_CHUNK);
-                    let chunk = &mut body[off..off + n];
+                for (i, chunk) in body.chunks_mut(FUSE_CHUNK).enumerate() {
                     // Plaintext enters the MAC, then is encrypted in place.
                     ctx.update(chunk);
-                    ctr_xor_at(key.des(), base, (off / BLOCK_SIZE) as u64, chunk);
-                    off += n;
+                    let block = (i * FUSE_CHUNK / BLOCK_SIZE) as u64;
+                    ctr_xor_at(key.des(), base, block, chunk);
                 }
             } else {
                 ctx.update(body);
@@ -1140,28 +1139,39 @@ fn seal_core(
         return;
     }
 
-    // Single pass (§5.3): absorb each plaintext block into the MAC and
-    // encrypt it in the same loop iteration.
-    let mut enc = BlockEncryptor::new(key.des(), DesMode::Cbc, iv);
-    for (i, chunk) in body.chunks_exact_mut(BLOCK_SIZE).enumerate() {
-        let start = i * BLOCK_SIZE;
-        let valid = plaintext_len.saturating_sub(start).min(BLOCK_SIZE);
-        if valid > 0 {
-            // Only true payload bytes enter the MAC; padding does not.
-            ctx.update(&chunk[..valid]);
-        }
-        enc.process(chunk.try_into().expect("chunks_exact yields 8 bytes"));
+    // Single pass (§5.3): absorb each plaintext chunk into the MAC, then
+    // encrypt it in place, chained by the chunk's last ciphertext block.
+    let mut chain = iv;
+    for (i, chunk) in body.chunks_mut(FUSE_CHUNK).enumerate() {
+        // Only true payload bytes enter the MAC; padding does not.
+        let valid = plaintext_len
+            .saturating_sub(i * FUSE_CHUNK)
+            .min(chunk.len());
+        ctx.update(&chunk[..valid]);
+        encrypt_in_place(key.des(), chain, DesMode::Cbc, chunk);
+        chain = last_block(chunk);
     }
     ctx.finalize_into(mac_out);
 }
 
-/// Recover the paper suite's plaintext body into `out` (decrypting DES-CBC
-/// in place inside `out` if the datagram is secret) and validate framing.
+/// The last 8-byte block of a non-empty block-multiple chunk: the CBC
+/// chaining value for the chunk after it.
+fn last_block(chunk: &[u8]) -> u64 {
+    let tail = &chunk[chunk.len() - BLOCK_SIZE..];
+    u64::from_be_bytes(tail.try_into().expect("8-byte block"))
+}
+
+/// Recover the paper suite's plaintext body into `out` and validate
+/// framing; when `mac` is given, absorb the plaintext into it. A secret
+/// body is decrypted straight from the wire into `out` one chunk at a
+/// time, each chunk's payload bytes entering the MAC as soon as they are
+/// produced — the receive half of §5.3's single data touch.
 fn open_body_into(
     h: &HeaderView<'_>,
     key: &SealedFlowKey,
     body: &[u8],
     out: &mut Vec<u8>,
+    mut mac: Option<&mut MacContext>,
 ) -> Result<()> {
     let len = h.plaintext_len as usize;
     let framed = if h.secret {
@@ -1173,11 +1183,26 @@ fn open_body_into(
         return Err(FbsError::MalformedCiphertext);
     }
     out.clear();
-    out.extend_from_slice(body);
-    if h.secret {
-        decrypt_in_place(key.des(), h.iv64(), DesMode::Cbc, out);
-        out.truncate(len);
+    if !h.secret {
+        out.extend_from_slice(body);
+        if let Some(ctx) = mac {
+            ctx.update(out);
+        }
+        return Ok(());
     }
+    out.reserve(body.len());
+    let mut chain = h.iv64();
+    for chunk in body.chunks(FUSE_CHUNK) {
+        let start = out.len();
+        out.extend_from_slice(chunk);
+        decrypt_in_place(key.des(), chain, DesMode::Cbc, &mut out[start..]);
+        chain = last_block(chunk);
+        if let Some(ctx) = mac.as_deref_mut() {
+            let valid = len.saturating_sub(start).min(chunk.len());
+            ctx.update(&out[start..start + valid]);
+        }
+    }
+    out.truncate(len);
     Ok(())
 }
 

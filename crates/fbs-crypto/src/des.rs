@@ -1,15 +1,22 @@
-//! DES block cipher (FIPS 46) with the four FIPS 81 modes of operation.
+//! DES block cipher (FIPS 46) in CBC mode (FIPS 81), plus the counter mode
+//! of the fast profile.
 //!
 //! The paper's IP mapping uses DES-CBC for data confidentiality (§7.2), with
 //! the per-datagram *confounder* duplicated to 64 bits and used as the IV
-//! (§5.2). The ECB-mode confounder-XOR trick from §5.2 is provided as well.
+//! (§5.2).
+//!
+//! The kernels run one round body: a two-word Feistel form over merged
+//! S-box/P tables, with the key schedule stored in that form. CBC
+//! encryption keeps its serial chain in the IP domain, CBC decryption and
+//! the CTR keystream run eight independent blocks per pass, and all of it
+//! is tested against a bit-at-a-time FIPS 46 reference
+//! ([`fips_reference_block`]) and the published known-answer vectors.
 //!
 //! **Security note:** DES has a 56-bit key and is thoroughly broken by modern
 //! standards. It is implemented here only because the paper specifies it;
 //! see the crate-level disclaimer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// DES block size in bytes.
 pub const BLOCK_SIZE: usize = 8;
@@ -45,9 +52,8 @@ const FP: [u8; 64] = [
 ];
 
 /// Expansion function E (32 → 48 bits). The fast round function inlines E
-/// as a shift trick; this table remains the specification it is tested
+/// as a rotation trick; this table remains the specification it is tested
 /// against.
-#[cfg_attr(not(test), allow(dead_code))]
 const E: [u8; 48] = [
     32, 1, 2, 3, 4, 5, 4, 5, 6, 7, 8, 9, 8, 9, 10, 11, 12, 13, 12, 13, 14, 15, 16, 17, 16, 17, 18,
     19, 20, 21, 20, 21, 22, 23, 24, 25, 24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1,
@@ -121,74 +127,221 @@ const SHIFTS: [u8; 16] = [1, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1];
 
 /// Apply a 1-based-source bit permutation of `src` (an `in_bits`-bit value
 /// right-aligned in a u64) producing `table.len()` output bits.
-fn permute(src: u64, in_bits: u32, table: &[u8]) -> u64 {
+const fn permute(src: u64, in_bits: u32, table: &[u8]) -> u64 {
     let mut out = 0u64;
-    for &pos in table {
-        out <<= 1;
-        out |= (src >> (in_bits - pos as u32)) & 1;
+    let mut i = 0;
+    while i < table.len() {
+        out = (out << 1) | ((src >> (in_bits - table[i] as u32)) & 1);
+        i += 1;
     }
     out
+}
+
+/// The 16 48-bit subkeys of `key`, straight from PC1, the rotation
+/// schedule and PC2 (parity bits ignored).
+fn subkeys48(key: &[u8; 8]) -> [u64; 16] {
+    let pc1 = permute(u64::from_be_bytes(*key), 64, &PC1); // 56 bits
+    let mut c = (pc1 >> 28) & 0x0fff_ffff;
+    let mut d = pc1 & 0x0fff_ffff;
+    let mut subkeys = [0u64; 16];
+    for (round, &s) in SHIFTS.iter().enumerate() {
+        c = ((c << s) | (c >> (28 - s as u32))) & 0x0fff_ffff;
+        d = ((d << s) | (d >> (28 - s as u32))) & 0x0fff_ffff;
+        subkeys[round] = permute((c << 28) | d, 56, &PC2);
+    }
+    subkeys
+}
+
+/// The Feistel function f(R, K) computed straight from the FIPS tables —
+/// the specification the fast round body must match bit for bit.
+fn feistel_reference(r: u32, subkey: u64) -> u32 {
+    let expanded = permute(r as u64, 32, &E) ^ subkey; // 48 bits
+    let mut sboxed = 0u32;
+    for (i, sbox) in SBOX.iter().enumerate() {
+        let chunk = ((expanded >> (42 - 6 * i)) & 0x3f) as u8;
+        // Row = outer bits, column = inner four bits.
+        let row = ((chunk & 0x20) >> 4) | (chunk & 1);
+        let col = (chunk >> 1) & 0xf;
+        sboxed = (sboxed << 4) | sbox[(row * 16 + col) as usize] as u32;
+    }
+    permute(sboxed as u64, 32, &P) as u32
+}
+
+/// One DES block en- or decrypted bit by bit from the FIPS 46 tables: key
+/// schedule, IP, sixteen `feistel_reference` rounds, FP. Far too slow
+/// for the datagram path; it is the oracle the fast kernels below are
+/// tested against, alongside the published known-answer vectors.
+pub fn fips_reference_block(key: &[u8; 8], block: u64, decrypt: bool) -> u64 {
+    let subkeys = subkeys48(key);
+    let permuted = permute(block, 64, &IP);
+    let mut l = (permuted >> 32) as u32;
+    let mut r = permuted as u32;
+    for round in 0..16 {
+        let k = subkeys[if decrypt { 15 - round } else { round }];
+        let next_r = l ^ feistel_reference(r, k);
+        l = r;
+        r = next_r;
+    }
+    // Note the final swap: output is R16 || L16.
+    permute(((r as u64) << 32) | l as u64, 64, &FP)
 }
 
 // --- Table-driven fast core ------------------------------------------------
 //
 // The bit-at-a-time `permute` above is the specification; the round function
 // and the initial/final permutations below are rebuilt as table lookups
-// *generated from that specification*, so the fast path is bit-identical by
-// construction and pinned by the FIPS/NBS known-answer tests.
+// *generated from that specification* at compile time, so the fast path is
+// bit-identical by construction and pinned by the FIPS/NBS known-answer
+// tests.
 
-/// Merged S-box + P permutation tables: `SP[i][c]` is `P(SBOX[i][c])` with the
-/// S-box output placed in its 4-bit lane before permutation, so one lookup per
-/// S-box replaces the row/column decode and the 32-bit `P` permutation.
-fn sp_tables() -> &'static [[u32; 64]; 8] {
-    static SP: OnceLock<[[u32; 64]; 8]> = OnceLock::new();
-    SP.get_or_init(|| {
-        let mut sp = [[0u32; 64]; 8];
-        for (i, sbox) in SBOX.iter().enumerate() {
-            for c in 0..64u64 {
-                // Row = outer bits, column = inner four bits (FIPS 46).
-                let row = ((c & 0x20) >> 4) | (c & 1);
-                let col = (c >> 1) & 0xf;
-                let val = sbox[(row * 16 + col) as usize] as u64;
-                sp[i][c as usize] = permute(val << (28 - 4 * i), 32, &P) as u32;
-            }
+/// Merged S-box + P permutation tables: `SP[i][c]` is `P(SBOX[i][c & 0x3f])`
+/// with the S-box output placed in its 4-bit lane before permutation, so
+/// one lookup per S-box replaces the row/column decode and the 32-bit `P`
+/// permutation. Each table is indexed by a whole byte whose top two bits
+/// are ignored, so the round body feeds it a byte of the keyed window
+/// without masking.
+static SP: [[u32; 256]; 8] = sp_tables();
+
+const fn sp_tables() -> [[u32; 256]; 8] {
+    let mut sp = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 8 {
+        let mut c = 0;
+        while c < 256 {
+            // Row = outer bits, column = inner four bits (FIPS 46).
+            let row = ((c & 0x20) >> 4) | (c & 1);
+            let col = (c >> 1) & 0xf;
+            let val = SBOX[i][row * 16 + col] as u64;
+            sp[i][c] = permute(val << (28 - 4 * i), 32, &P) as u32;
+            c += 1;
         }
-        sp
-    })
+        i += 1;
+    }
+    sp
 }
 
-/// Build a byte-indexed lookup table for a 64→64 bit permutation: entry
-/// `[pos][val]` is the permuted contribution of byte `pos` (MSB first)
-/// holding value `val`. Bit permutations are XOR-linear, so the permutation
-/// of a block is the XOR of its eight byte contributions.
-fn byte_perm_table(table: &[u8; 64]) -> [[u64; 256]; 8] {
+/// Byte-indexed lookup tables for IP and FP: entry `[pos][val]` is the
+/// permuted contribution of byte `pos` (MSB first) holding value `val`. Bit
+/// permutations are XOR-linear, so the permutation of a block is the XOR
+/// of its eight byte contributions.
+static IP_TABLES: [[u64; 256]; 8] = byte_perm_table(&IP);
+static FP_TABLES: [[u64; 256]; 8] = byte_perm_table(&FP);
+
+const fn byte_perm_table(table: &[u8; 64]) -> [[u64; 256]; 8] {
+    // Image of each single input bit; a byte's entry is the XOR of the
+    // images of its set bits.
+    let mut bit = [0u64; 64];
+    let mut b = 0;
+    while b < 64 {
+        bit[b] = permute(1u64 << (63 - b), 64, table);
+        b += 1;
+    }
     let mut t = [[0u64; 256]; 8];
-    for (pos, row) in t.iter_mut().enumerate() {
-        for (val, out) in row.iter_mut().enumerate() {
-            *out = permute((val as u64) << (56 - 8 * pos), 64, table);
+    let mut pos = 0;
+    while pos < 8 {
+        let mut val = 1;
+        while val < 256 {
+            // Highest set bit of `val` plus the entry for the rest.
+            let top = 7 - (val as u8).leading_zeros() as usize;
+            t[pos][val] = bit[pos * 8 + 7 - top] ^ t[pos][val & !(1 << top)];
+            val += 1;
         }
+        pos += 1;
     }
     t
 }
 
-fn ip_tables() -> &'static [[u64; 256]; 8] {
-    static T: OnceLock<[[u64; 256]; 8]> = OnceLock::new();
-    T.get_or_init(|| byte_perm_table(&IP))
-}
-
-fn fp_tables() -> &'static [[u64; 256]; 8] {
-    static T: OnceLock<[[u64; 256]; 8]> = OnceLock::new();
-    T.get_or_init(|| byte_perm_table(&FP))
-}
-
+#[inline(always)]
 fn apply_byte_perm(tab: &[[u64; 256]; 8], src: u64) -> u64 {
-    src.to_be_bytes()
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (pos, &val)| acc ^ tab[pos][val as usize])
+    let b = src.to_be_bytes();
+    tab[0][b[0] as usize]
+        ^ tab[1][b[1] as usize]
+        ^ tab[2][b[2] as usize]
+        ^ tab[3][b[3] as usize]
+        ^ tab[4][b[4] as usize]
+        ^ tab[5][b[5] as usize]
+        ^ tab[6][b[6] as usize]
+        ^ tab[7][b[7] as usize]
 }
 
-/// A DES key schedule: 16 48-bit subkeys.
+#[inline(always)]
+fn ip(block: u64) -> u64 {
+    apply_byte_perm(&IP_TABLES, block)
+}
+
+#[inline(always)]
+fn fp(block: u64) -> u64 {
+    apply_byte_perm(&FP_TABLES, block)
+}
+
+/// Split a 48-bit subkey into the two-word round form. For S-box `i` the
+/// E-expansion window of `R` is `R` rotated right by `27 - 4i` (mod 32),
+/// so the even boxes (0,2,4,6) all read 6-bit fields at byte strides of
+/// `R >>> 3` and the odd boxes (1,3,5,7) of `R <<< 1`. Packing each
+/// round's key chunks into two matching u32s (`[even, odd]`, chunk for box
+/// 6/7 in the low byte up to box 0/1 in the top) lets the round body XOR
+/// the whole key in two 32-bit ops and skip building the 48-bit expansion.
+fn split_subkey(k: u64) -> [u32; 2] {
+    let chunk = |i: usize| ((k >> (42 - 6 * i)) & 0x3f) as u32;
+    [
+        chunk(6) | chunk(4) << 8 | chunk(2) << 16 | chunk(0) << 24,
+        chunk(7) | chunk(5) << 8 | chunk(3) << 16 | chunk(1) << 24,
+    ]
+}
+
+/// The Feistel function f(R, K) in the two-word form (see
+/// [`split_subkey`]): two rotations, two key XORs, eight SP lookups.
+#[inline(always)]
+fn feistel(r: u32, [ke, ko]: [u32; 2]) -> u32 {
+    let u = (r.rotate_right(3) ^ ke).to_le_bytes();
+    let v = (r.rotate_left(1) ^ ko).to_le_bytes();
+    SP[6][u[0] as usize]
+        ^ SP[4][u[1] as usize]
+        ^ SP[2][u[2] as usize]
+        ^ SP[0][u[3] as usize]
+        ^ SP[7][v[0] as usize]
+        ^ SP[5][v[1] as usize]
+        ^ SP[3][v[2] as usize]
+        ^ SP[1][v[3] as usize]
+}
+
+/// The sixteen rounds on one block in the IP domain: takes `IP(x)` as
+/// `L0 || R0` and returns `R16 || L16`, i.e. `IP(E(x))`.
+#[inline(always)]
+fn rounds<'a>(keys: impl Iterator<Item = &'a [u32; 2]>, block: u64) -> u64 {
+    let mut l = (block >> 32) as u32;
+    let mut r = block as u32;
+    for &k in keys {
+        let next_r = l ^ feistel(r, k);
+        l = r;
+        r = next_r;
+    }
+    ((r as u64) << 32) | l as u64
+}
+
+/// [`rounds`] over eight independent blocks, round-major. A single DES
+/// block is a 16-deep serial dependency chain and each round is eight
+/// dependent table loads; eight chains advanced round by round keep the
+/// load ports fed.
+#[inline(always)]
+fn rounds8<'a>(keys: impl Iterator<Item = &'a [u32; 2]>, blocks: &mut [u64; 8]) {
+    let mut l = blocks.map(|b| (b >> 32) as u32);
+    let mut r = blocks.map(|b| b as u32);
+    for &k in keys {
+        for lane in 0..8 {
+            let next_r = l[lane] ^ feistel(r[lane], k);
+            l[lane] = r[lane];
+            r[lane] = next_r;
+        }
+    }
+    for lane in 0..8 {
+        blocks[lane] = ((r[lane] as u64) << 32) | l[lane] as u64;
+    }
+}
+
+/// A DES key schedule: 16 48-bit subkeys, stored once in the two-word
+/// round form (`[[u32; 2]; 16]`, 128 bytes) that the scalar block path,
+/// CBC and CTR all run.
 ///
 /// ```
 /// use fbs_crypto::des::{Des, Mode, encrypt, decrypt};
@@ -200,214 +353,64 @@ fn apply_byte_perm(tab: &[[u64; 256]; 8], src: u64) -> u64 {
 /// ```
 #[derive(Clone)]
 pub struct Des {
-    subkeys: [u64; 16],
+    subkeys: [[u32; 2]; 16],
 }
 
 impl Des {
     /// Build the key schedule from an 8-byte key (parity bits ignored).
     pub fn new(key: &[u8; 8]) -> Self {
         KEY_SCHEDULES.fetch_add(1, Ordering::Relaxed);
-        let key64 = u64::from_be_bytes(*key);
-        let pc1 = permute(key64, 64, &PC1); // 56 bits
-        let mut c = (pc1 >> 28) & 0x0fff_ffff;
-        let mut d = pc1 & 0x0fff_ffff;
-        let mut subkeys = [0u64; 16];
-        for (round, &s) in SHIFTS.iter().enumerate() {
-            c = ((c << s) | (c >> (28 - s as u32))) & 0x0fff_ffff;
-            d = ((d << s) | (d >> (28 - s as u32))) & 0x0fff_ffff;
-            subkeys[round] = permute((c << 28) | d, 56, &PC2);
+        Des {
+            subkeys: subkeys48(key).map(split_subkey),
         }
-        Des { subkeys }
     }
 
-    /// The Feistel function f(R, K) over the merged SP tables.
-    fn feistel(r: u32, subkey: u64, sp: &[[u32; 64]; 8]) -> u32 {
-        // E-expansion without a table: lay out bit 32 | bits 1..=32 | bit 1
-        // as a 34-bit value; each 6-bit input chunk i then sits at bit
-        // offset 28 - 4i, overlapping its neighbours exactly as E specifies.
-        let t = (((r & 1) as u64) << 33) | ((r as u64) << 1) | ((r >> 31) as u64);
-        let mut f = 0u32;
-        for (i, lane) in sp.iter().enumerate() {
-            let six = ((t >> (28 - 4 * i)) ^ (subkey >> (42 - 6 * i))) & 0x3f;
-            f ^= lane[six as usize];
-        }
-        f
+    fn encrypt_ip(&self, block: u64) -> u64 {
+        rounds(self.subkeys.iter(), block)
     }
 
-    /// The Feistel function computed straight from the FIPS tables — the
-    /// specification the SP-table path must match bit for bit.
-    #[cfg(test)]
-    fn feistel_reference(r: u32, subkey: u64) -> u32 {
-        let expanded = permute(r as u64, 32, &E) ^ subkey; // 48 bits
-        let mut sboxed = 0u32;
-        for (i, sbox) in SBOX.iter().enumerate() {
-            let chunk = ((expanded >> (42 - 6 * i)) & 0x3f) as u8;
-            // Row = outer bits, column = inner four bits.
-            let row = ((chunk & 0x20) >> 4) | (chunk & 1);
-            let col = (chunk >> 1) & 0xf;
-            sboxed = (sboxed << 4) | sbox[(row * 16 + col) as usize] as u32;
-        }
-        permute(sboxed as u64, 32, &P) as u32
-    }
-
-    fn crypt_block(&self, block: u64, decrypt: bool) -> u64 {
-        let sp = sp_tables();
-        let permuted = apply_byte_perm(ip_tables(), block);
-        let mut l = (permuted >> 32) as u32;
-        let mut r = permuted as u32;
-        for round in 0..16 {
-            let k = if decrypt {
-                self.subkeys[15 - round]
-            } else {
-                self.subkeys[round]
-            };
-            let next_r = l ^ Self::feistel(r, k, sp);
-            l = r;
-            r = next_r;
-        }
-        // Note the final swap: output is R16 || L16.
-        apply_byte_perm(fp_tables(), ((r as u64) << 32) | l as u64)
+    fn decrypt_ip(&self, block: u64) -> u64 {
+        rounds(self.subkeys.iter().rev(), block)
     }
 
     /// Encrypt a single 8-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 8]) {
-        let out = self.crypt_block(u64::from_be_bytes(*block), false);
-        *block = out.to_be_bytes();
+        *block = fp(self.encrypt_ip(ip(u64::from_be_bytes(*block)))).to_be_bytes();
     }
 
     /// Decrypt a single 8-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 8]) {
-        let out = self.crypt_block(u64::from_be_bytes(*block), true);
-        *block = out.to_be_bytes();
+        *block = fp(self.decrypt_ip(ip(u64::from_be_bytes(*block)))).to_be_bytes();
     }
+}
 
-    /// Encrypt four independent blocks with the 16 rounds interleaved
-    /// ("word-sliced" DES). A single DES block is a 16-deep serial
-    /// dependency chain — each Feistel round waits on the previous one.
-    /// Four independent lanes advanced round-by-round give the CPU four
-    /// chains to overlap, so table loads and XORs from different lanes fill
-    /// the pipeline bubbles.
-    pub fn encrypt_blocks4(&self, blocks: &mut [u64; 4]) {
-        let sp = sp_tables();
-        let ipt = ip_tables();
-        let mut l = [0u32; 4];
-        let mut r = [0u32; 4];
-        for i in 0..4 {
-            let p = apply_byte_perm(ipt, blocks[i]);
-            l[i] = (p >> 32) as u32;
-            r[i] = p as u32;
-        }
-        for round in 0..16 {
-            let k = self.subkeys[round];
-            for i in 0..4 {
-                let next_r = l[i] ^ Self::feistel(r[i], k, sp);
-                l[i] = r[i];
-                r[i] = next_r;
-            }
-        }
-        let fpt = fp_tables();
-        for i in 0..4 {
-            blocks[i] = apply_byte_perm(fpt, ((r[i] as u64) << 32) | l[i] as u64);
-        }
-    }
-
-    /// Pre-split the 16 subkeys for the two-word Feistel form used by
-    /// the interleaved keystream core. For S-box `i` the E-expansion
-    /// window of `R` is `R` rotated right by `27 - 4i` (mod 32), so the
-    /// even boxes (0,2,4,6) all read 6-bit fields at byte strides of
-    /// `R >>> 3` and the odd boxes (1,3,5,7) of `R <<< 1`. Packing each
-    /// round's key chunks into two matching u32s (`[even, odd]`, chunk
-    /// for box 6/7 in the low byte up to box 0/1 in the top) lets the
-    /// round body XOR the whole key in two 32-bit ops instead of eight
-    /// 64-bit shifts, and skip building the 34-bit expansion entirely.
-    pub fn subkey_chunks(&self) -> [[u32; 2]; 16] {
-        let mut skc = [[0u32; 2]; 16];
-        for (round, &k) in self.subkeys.iter().enumerate() {
-            let chunk = |i: usize| ((k >> (42 - 6 * i)) & 0x3f) as u32;
-            skc[round] = [
-                chunk(6) | chunk(4) << 8 | chunk(2) << 16 | chunk(0) << 24,
-                chunk(7) | chunk(5) << 8 | chunk(3) << 16 | chunk(1) << 24,
-            ];
-        }
-        skc
-    }
-
-    /// Eight-lane variant of [`Des::encrypt_blocks4`] — the fast-profile
-    /// CTR keystream core. Each Feistel evaluation is eight dependent
-    /// table loads, so four lanes leave load ports idle on wide
-    /// out-of-order cores; eight independent chains keep them fed. The
-    /// scalar [`Des::crypt_block`] path is deliberately left on the
-    /// straightforward form.
-    pub fn encrypt_blocks8(&self, blocks: &mut [u64; 8]) {
-        Self::encrypt_blocks8_sk(&self.subkey_chunks(), blocks)
-    }
-
-    /// [`Des::encrypt_blocks8`] over pre-split subkey chunks (see
-    /// [`Des::subkey_chunks`]): the two-word round form. Bit-exact
-    /// against the scalar FIPS path (`ctr_matches_scalar_reference`).
-    pub fn encrypt_blocks8_sk(skc: &[[u32; 2]; 16], blocks: &mut [u64; 8]) {
-        let sp = sp_tables();
-        let ipt = ip_tables();
-        let mut l = [0u32; 8];
-        let mut r = [0u32; 8];
-        for i in 0..8 {
-            let p = apply_byte_perm(ipt, blocks[i]);
-            l[i] = (p >> 32) as u32;
-            r[i] = p as u32;
-        }
-        for &[ke, ko] in skc {
-            for lane in 0..8 {
-                let r32 = r[lane];
-                let u = r32.rotate_right(3) ^ ke;
-                let v = r32.rotate_left(1) ^ ko;
-                let f = sp[6][(u & 0x3f) as usize]
-                    ^ sp[4][((u >> 8) & 0x3f) as usize]
-                    ^ sp[2][((u >> 16) & 0x3f) as usize]
-                    ^ sp[0][((u >> 24) & 0x3f) as usize]
-                    ^ sp[7][(v & 0x3f) as usize]
-                    ^ sp[5][((v >> 8) & 0x3f) as usize]
-                    ^ sp[3][((v >> 16) & 0x3f) as usize]
-                    ^ sp[1][((v >> 24) & 0x3f) as usize];
-                let next_r = l[lane] ^ f;
-                l[lane] = r32;
-                r[lane] = next_r;
-            }
-        }
-        let fpt = fp_tables();
-        for i in 0..8 {
-            blocks[i] = apply_byte_perm(fpt, ((r[i] as u64) << 32) | l[i] as u64);
-        }
-    }
+fn read_block(bytes: &[u8]) -> u64 {
+    u64::from_be_bytes(bytes.try_into().expect("8-byte block"))
 }
 
 /// XOR DES-CTR keystream into `data` in place, starting at block index
 /// `start_block` of the stream whose counter base is `base`. Keystream
-/// block `i` is `E(base + i)` (64-bit wrapping counter); blocks are
-/// generated four at a time through [`Des::encrypt_blocks4`]. Encryption
-/// and decryption are the same operation, and no padding is needed —
-/// which is why the fast profile's wire body length equals the plaintext
-/// length.
+/// block `i` is `E(base + i)` (64-bit wrapping counter); whole 64-byte
+/// chunks are generated eight blocks at a time. Encryption and decryption
+/// are the same operation, and no padding is needed — which is why the
+/// fast profile's wire body length equals the plaintext length.
 pub fn ctr_xor_at(key: &Des, base: u64, start_block: u64, data: &mut [u8]) {
     let mut idx = start_block;
     let mut chunks = data.chunks_exact_mut(64);
-    let skc = key.subkey_chunks();
     for chunk in &mut chunks {
         let mut ks = [0u64; 8];
         for (lane, k) in ks.iter_mut().enumerate() {
-            *k = base.wrapping_add(idx.wrapping_add(lane as u64));
+            *k = ip(base.wrapping_add(idx.wrapping_add(lane as u64)));
         }
-        Des::encrypt_blocks8_sk(&skc, &mut ks);
-        for (lane, part) in chunk.chunks_exact_mut(8).enumerate() {
-            let word = u64::from_be_bytes(part.try_into().unwrap()) ^ ks[lane];
-            part.copy_from_slice(&word.to_be_bytes());
+        rounds8(key.subkeys.iter(), &mut ks);
+        for (part, k) in chunk.chunks_exact_mut(8).zip(ks) {
+            part.copy_from_slice(&(read_block(part) ^ fp(k)).to_be_bytes());
         }
         idx = idx.wrapping_add(8);
     }
-    let rem = chunks.into_remainder();
-    for part in rem.chunks_mut(8) {
-        let mut block = base.wrapping_add(idx).to_be_bytes();
-        key.encrypt_block(&mut block);
-        for (b, k) in part.iter_mut().zip(block) {
+    for part in chunks.into_remainder().chunks_mut(8) {
+        let ks = fp(key.encrypt_ip(ip(base.wrapping_add(idx)))).to_be_bytes();
+        for (b, k) in part.iter_mut().zip(ks) {
             *b ^= k;
         }
         idx = idx.wrapping_add(1);
@@ -455,19 +458,14 @@ pub fn is_weak_key(key: &[u8; 8]) -> bool {
         .any(|&w| strip(w) == k)
 }
 
-/// DES mode of operation (FIPS 81). The paper's confounder supplies the IV
-/// for CBC/CFB/OFB; in ECB mode the confounder is XORed with every plaintext
-/// block before encryption (§5.2).
+/// DES mode of operation. CBC (FIPS 81) is the paper's choice (§7.2) and
+/// the only mode the paper suite runs; the confounder, duplicated to 64
+/// bits, supplies the IV (§5.2). The fast profile's counter mode is
+/// [`ctr_xor_at`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// Electronic codebook with confounder whitening per §5.2.
-    Ecb,
-    /// Cipher block chaining (the paper's implementation choice, §7.2).
+    /// Cipher block chaining.
     Cbc,
-    /// 64-bit cipher feedback.
-    Cfb,
-    /// 64-bit output feedback.
-    Ofb,
 }
 
 /// Pad `data` to a multiple of 8 bytes with zero bytes. FBS carries the
@@ -475,10 +473,7 @@ pub enum Mode {
 /// unambiguous at this layer.
 pub fn zero_pad(data: &[u8]) -> Vec<u8> {
     let mut v = data.to_vec();
-    let rem = v.len() % BLOCK_SIZE;
-    if rem != 0 {
-        v.resize(v.len() + (BLOCK_SIZE - rem), 0);
-    }
+    v.resize(padded_len(data.len()), 0);
     v
 }
 
@@ -488,142 +483,80 @@ pub fn padded_len(len: usize) -> usize {
     len.div_ceil(BLOCK_SIZE) * BLOCK_SIZE
 }
 
-/// Streaming block encryptor carrying the chaining state of a mode.
+/// CBC-encrypt a block-multiple buffer in place under `iv` — the zero-copy
+/// fast path. Callers pad with [`zero_pad`]/[`padded_len`] (or write into
+/// an already block-sized region) so no ciphertext temporary is allocated.
 ///
-/// The single-pass MAC+encrypt loop of §5.3 needs to process one block at a
-/// time; this and [`BlockDecryptor`] expose exactly that, and the
-/// whole-buffer [`encrypt`]/[`decrypt`] functions are built on them.
-pub struct BlockEncryptor<'a> {
-    des: &'a Des,
-    mode: Mode,
-    /// CBC: previous ciphertext. CFB: previous ciphertext. OFB: keystream
-    /// feedback. ECB: the constant whitening confounder.
-    state: u64,
-}
-
-impl<'a> BlockEncryptor<'a> {
-    /// Begin encrypting with `iv` (the duplicated confounder).
-    pub fn new(des: &'a Des, mode: Mode, iv: u64) -> Self {
-        BlockEncryptor {
-            des,
-            mode,
-            state: iv,
-        }
-    }
-
-    /// Encrypt one block in place.
-    pub fn process(&mut self, block: &mut [u8; 8]) {
-        match self.mode {
-            Mode::Ecb => {
-                *block = (u64::from_be_bytes(*block) ^ self.state).to_be_bytes();
-                self.des.encrypt_block(block);
-            }
-            Mode::Cbc => {
-                *block = (u64::from_be_bytes(*block) ^ self.state).to_be_bytes();
-                self.des.encrypt_block(block);
-                self.state = u64::from_be_bytes(*block);
-            }
-            Mode::Cfb => {
-                let mut keystream = self.state.to_be_bytes();
-                self.des.encrypt_block(&mut keystream);
-                let c = u64::from_be_bytes(*block) ^ u64::from_be_bytes(keystream);
-                *block = c.to_be_bytes();
-                self.state = c;
-            }
-            Mode::Ofb => {
-                let mut keystream = self.state.to_be_bytes();
-                self.des.encrypt_block(&mut keystream);
-                self.state = u64::from_be_bytes(keystream);
-                let c = u64::from_be_bytes(*block) ^ self.state;
-                *block = c.to_be_bytes();
-            }
-        }
-    }
-}
-
-/// Streaming block decryptor; see [`BlockEncryptor`].
-pub struct BlockDecryptor<'a> {
-    des: &'a Des,
-    mode: Mode,
-    state: u64,
-}
-
-impl<'a> BlockDecryptor<'a> {
-    /// Begin decrypting with `iv` (the duplicated confounder).
-    pub fn new(des: &'a Des, mode: Mode, iv: u64) -> Self {
-        BlockDecryptor {
-            des,
-            mode,
-            state: iv,
-        }
-    }
-
-    /// Decrypt one block in place.
-    pub fn process(&mut self, block: &mut [u8; 8]) {
-        match self.mode {
-            Mode::Ecb => {
-                self.des.decrypt_block(block);
-                *block = (u64::from_be_bytes(*block) ^ self.state).to_be_bytes();
-            }
-            Mode::Cbc => {
-                let this_cipher = u64::from_be_bytes(*block);
-                self.des.decrypt_block(block);
-                *block = (u64::from_be_bytes(*block) ^ self.state).to_be_bytes();
-                self.state = this_cipher;
-            }
-            Mode::Cfb => {
-                let mut keystream = self.state.to_be_bytes();
-                self.des.encrypt_block(&mut keystream);
-                let this_cipher = u64::from_be_bytes(*block);
-                *block = (this_cipher ^ u64::from_be_bytes(keystream)).to_be_bytes();
-                self.state = this_cipher;
-            }
-            Mode::Ofb => {
-                let mut keystream = self.state.to_be_bytes();
-                self.des.encrypt_block(&mut keystream);
-                self.state = u64::from_be_bytes(keystream);
-                let c = u64::from_be_bytes(*block) ^ self.state;
-                *block = c.to_be_bytes();
-            }
-        }
-    }
-}
-
-/// Encrypt a block-multiple buffer in place — the zero-copy fast path.
-/// Callers pad with [`zero_pad`]/[`padded_len`] (or write into an already
-/// block-sized region) so no ciphertext temporary is allocated.
+/// CBC encryption is inherently serial, so the kernel keeps the chain in
+/// the IP domain: IP is linear, so `IP(P ⊕ C_prev) = IP(P) ⊕ IP(C_prev)`,
+/// and `IP(C_prev)` is the previous block's round output (`IP ∘ FP` is the
+/// identity). The serial dependency is one XOR plus the sixteen rounds;
+/// the IP of each plaintext block and the FP of each ciphertext block are
+/// off the chain, computed eight at a time. A long buffer may be
+/// encrypted in pieces: each piece's IV is the previous piece's last
+/// ciphertext block.
 ///
 /// # Panics
 /// Panics if `data` is not a block multiple.
 pub fn encrypt_in_place(key: &Des, iv: u64, mode: Mode, data: &mut [u8]) {
+    let Mode::Cbc = mode;
     assert!(
         data.len().is_multiple_of(BLOCK_SIZE),
         "plaintext not a block multiple"
     );
-    let mut enc = BlockEncryptor::new(key, mode, iv);
-    for chunk in data.chunks_exact_mut(8) {
-        enc.process(chunk.try_into().unwrap());
+    let mut chain = ip(iv);
+    for chunk in data.chunks_mut(64) {
+        let mut x = [0u64; 8];
+        for (w, part) in x.iter_mut().zip(chunk.chunks_exact(8)) {
+            *w = ip(read_block(part));
+        }
+        for w in x.iter_mut().take(chunk.len() / 8) {
+            chain = key.encrypt_ip(*w ^ chain);
+            *w = chain;
+        }
+        for (part, w) in chunk.chunks_exact_mut(8).zip(x) {
+            part.copy_from_slice(&fp(w).to_be_bytes());
+        }
     }
 }
 
-/// Decrypt a block-multiple buffer in place; the caller trims padding using
-/// the plaintext length carried in the security flow header.
+/// CBC-decrypt a block-multiple buffer in place under `iv`; the caller
+/// trims padding using the plaintext length carried in the security flow
+/// header. Unlike encryption, every block's decryption is independent
+/// (`P_i = D(C_i) ⊕ C_{i-1}`), so whole 64-byte chunks run as eight
+/// interleaved lanes. Pieces chain like [`encrypt_in_place`]'s.
 ///
 /// # Panics
 /// Panics if `data` is not a block multiple.
 pub fn decrypt_in_place(key: &Des, iv: u64, mode: Mode, data: &mut [u8]) {
+    let Mode::Cbc = mode;
     assert!(
         data.len().is_multiple_of(BLOCK_SIZE),
         "ciphertext not a block multiple"
     );
-    let mut dec = BlockDecryptor::new(key, mode, iv);
-    for chunk in data.chunks_exact_mut(8) {
-        dec.process(chunk.try_into().unwrap());
+    let mut prev = iv;
+    let mut chunks = data.chunks_exact_mut(64);
+    for chunk in &mut chunks {
+        let mut c = [0u64; 8];
+        for (w, part) in c.iter_mut().zip(chunk.chunks_exact(8)) {
+            *w = read_block(part);
+        }
+        let mut x = c.map(ip);
+        rounds8(key.subkeys.iter().rev(), &mut x);
+        for ((part, w), ct) in chunk.chunks_exact_mut(8).zip(x).zip(c) {
+            part.copy_from_slice(&(fp(w) ^ prev).to_be_bytes());
+            prev = ct;
+        }
+    }
+    for part in chunks.into_remainder().chunks_exact_mut(8) {
+        let ct = read_block(part);
+        part.copy_from_slice(&(fp(key.decrypt_ip(ip(ct))) ^ prev).to_be_bytes());
+        prev = ct;
     }
 }
 
 /// Encrypt `plaintext` (any length; zero-padded to a block multiple) under
-/// `key` with the 64-bit `iv` (the duplicated confounder) in `mode`.
+/// `key` with the 64-bit `iv` (the duplicated confounder).
 pub fn encrypt(key: &Des, iv: u64, mode: Mode, plaintext: &[u8]) -> Vec<u8> {
     let mut data = zero_pad(plaintext);
     encrypt_in_place(key, iv, mode, &mut data);
@@ -657,34 +590,116 @@ mod tests {
         assert_eq!(u64::from_be_bytes(block), 0x0123456789ABCDEF);
     }
 
-    /// Known-answer vectors from the NBS/NIST DES validation suite.
+    /// Known-answer vectors from the NBS/NIST DES validation suite, through
+    /// the fast block path and the bit-at-a-time reference alike.
     #[test]
     fn known_answer_vectors() {
-        let cases: [(u64, u64, u64); 4] = [
+        let cases: [(u64, u64, u64); 5] = [
             (0x0000000000000000, 0x0000000000000000, 0x8CA64DE9C1B123A7),
             (0xFFFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF, 0x7359B2163E4EDC58),
             (0x3000000000000000, 0x1000000000000001, 0x958E6E627A05557B),
             (0x1111111111111111, 0x1111111111111111, 0xF40379AB9E0EC533),
+            (0x133457799BBCDFF1, 0x0123456789ABCDEF, 0x85E813540F0AB405),
         ];
         for (k, p, c) in cases {
-            let des = Des::new(&k.to_be_bytes());
+            let kb = k.to_be_bytes();
+            let des = Des::new(&kb);
             let mut block = p.to_be_bytes();
             des.encrypt_block(&mut block);
             assert_eq!(u64::from_be_bytes(block), c, "key={k:016x}");
             des.decrypt_block(&mut block);
             assert_eq!(u64::from_be_bytes(block), p);
+            assert_eq!(fips_reference_block(&kb, p, false), c, "key={k:016x}");
+            assert_eq!(fips_reference_block(&kb, c, true), p, "key={k:016x}");
+        }
+    }
+
+    /// Deterministic test stream (xorshift-multiply).
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x = x
+                .wrapping_mul(0x2545F4914F6CDD1D)
+                .wrapping_add(0x9E3779B97F4A7C15);
+            x ^ (x >> 29)
+        }
+    }
+
+    /// CBC straight from the reference block function.
+    fn reference_cbc(key: &[u8; 8], iv: u64, data: &[u8], decrypt: bool) -> Vec<u8> {
+        let mut prev = iv;
+        let mut out = Vec::new();
+        for part in data.chunks_exact(8) {
+            let x = read_block(part);
+            let y = if decrypt {
+                let p = fips_reference_block(key, x, true) ^ prev;
+                prev = x;
+                p
+            } else {
+                prev = fips_reference_block(key, x ^ prev, false);
+                prev
+            };
+            out.extend_from_slice(&y.to_be_bytes());
+        }
+        out
+    }
+
+    /// The IP-domain encrypt and eight-lane decrypt kernels equal CBC
+    /// built from the reference block, across the 64-byte lane boundary
+    /// and short tails.
+    #[test]
+    fn cbc_kernels_match_reference() {
+        let mut next = stream(0xC0FFEE);
+        for blocks in [0usize, 1, 2, 7, 8, 9, 15, 16, 17, 24, 33] {
+            let key = next().to_be_bytes();
+            let des = Des::new(&key);
+            let iv = next();
+            let plain: Vec<u8> = (0..blocks * 8).map(|_| next() as u8).collect();
+            let mut buf = plain.clone();
+            encrypt_in_place(&des, iv, Mode::Cbc, &mut buf);
+            assert_eq!(
+                buf,
+                reference_cbc(&key, iv, &plain, false),
+                "{blocks} blocks"
+            );
+            let ct = buf.clone();
+            decrypt_in_place(&des, iv, Mode::Cbc, &mut buf);
+            assert_eq!(buf, plain, "{blocks} blocks");
+            assert_eq!(reference_cbc(&key, iv, &ct, true), plain);
+        }
+    }
+
+    /// A buffer CBC-processed in pieces, each piece's IV being the last
+    /// ciphertext block before it, equals one whole-buffer call — the
+    /// chaining the seal/open loops rely on.
+    #[test]
+    fn cbc_chains_across_pieces() {
+        let des = Des::new(b"8bytekey");
+        let plain: Vec<u8> = (0..200u32).map(|i| (i * 7) as u8).collect();
+        let whole = encrypt(&des, 0x1234, Mode::Cbc, &plain);
+        for split in [8usize, 64, 72, 128, 192] {
+            let mut buf = zero_pad(&plain);
+            let (a, b) = buf.split_at_mut(split);
+            encrypt_in_place(&des, 0x1234, Mode::Cbc, a);
+            encrypt_in_place(&des, read_block(&a[split - 8..]), Mode::Cbc, b);
+            assert_eq!(buf, whole, "encrypt split {split}");
+            let (a, b) = buf.split_at_mut(split);
+            let chain = read_block(&a[split - 8..]);
+            decrypt_in_place(&des, 0x1234, Mode::Cbc, a);
+            decrypt_in_place(&des, chain, Mode::Cbc, b);
+            assert_eq!(buf[..plain.len()], plain[..], "decrypt split {split}");
         }
     }
 
     #[test]
-    fn all_modes_roundtrip() {
+    fn cbc_roundtrips_any_length() {
         let des = Des::new(b"8bytekey");
         let msg = b"The quick brown fox jumps over the lazy dog";
-        for mode in [Mode::Ecb, Mode::Cbc, Mode::Cfb, Mode::Ofb] {
-            let ct = encrypt(&des, 0xDEADBEEF_CAFEBABE, mode, msg);
-            assert_eq!(ct.len() % 8, 0);
-            let pt = decrypt(&des, 0xDEADBEEF_CAFEBABE, mode, &ct, msg.len());
-            assert_eq!(&pt, msg, "mode {mode:?}");
+        for len in 0..=msg.len() {
+            let ct = encrypt(&des, 0xDEADBEEF_CAFEBABE, Mode::Cbc, &msg[..len]);
+            assert_eq!(ct.len(), padded_len(len));
+            let pt = decrypt(&des, 0xDEADBEEF_CAFEBABE, Mode::Cbc, &ct, len);
+            assert_eq!(pt, &msg[..len]);
         }
     }
 
@@ -706,50 +721,11 @@ mod tests {
     }
 
     #[test]
-    fn ecb_confounder_whitening_hides_repeats_across_datagrams() {
-        // Same plaintext, different confounders ⇒ different ciphertexts even
-        // in ECB (the §5.2 confounder-XOR construction).
-        let des = Des::new(b"8bytekey");
-        let msg = [0x42; 8];
-        let c1 = encrypt(&des, 1111, Mode::Ecb, &msg);
-        let c2 = encrypt(&des, 2222, Mode::Ecb, &msg);
-        assert_ne!(c1, c2);
-    }
-
-    #[test]
-    fn empty_plaintext() {
-        let des = Des::new(b"8bytekey");
-        let ct = encrypt(&des, 0, Mode::Cbc, b"");
-        assert!(ct.is_empty());
-        assert!(decrypt(&des, 0, Mode::Cbc, &ct, 0).is_empty());
-    }
-
-    #[test]
     fn exact_block_multiple_no_padding_growth() {
         let des = Des::new(b"8bytekey");
-        let msg = [7u8; 24];
-        let ct = encrypt(&des, 9, Mode::Ofb, &msg);
+        let ct = encrypt(&des, 9, Mode::Cbc, &[7u8; 24]);
         assert_eq!(ct.len(), 24);
-    }
-
-    #[test]
-    fn incremental_matches_whole_buffer() {
-        let des = Des::new(b"8bytekey");
-        let msg = [0x5Au8; 32];
-        for mode in [Mode::Ecb, Mode::Cbc, Mode::Cfb, Mode::Ofb] {
-            let whole = encrypt(&des, 0x1234, mode, &msg);
-            let mut inc = msg;
-            let mut e = BlockEncryptor::new(&des, mode, 0x1234);
-            for chunk in inc.chunks_exact_mut(8) {
-                e.process(chunk.try_into().unwrap());
-            }
-            assert_eq!(&inc[..], &whole[..], "encrypt {mode:?}");
-            let mut d = BlockDecryptor::new(&des, mode, 0x1234);
-            for chunk in inc.chunks_exact_mut(8) {
-                d.process(chunk.try_into().unwrap());
-            }
-            assert_eq!(inc, msg, "decrypt {mode:?}");
-        }
+        assert!(encrypt(&des, 0, Mode::Cbc, b"").is_empty());
     }
 
     #[test]
@@ -780,44 +756,29 @@ mod tests {
 
     #[test]
     fn fast_feistel_matches_reference() {
-        // The SP-table round function must equal the FIPS-table one for a
+        // The two-word round function must equal the FIPS-table one for a
         // spread of (R, subkey) inputs, including edge bits.
-        let sp = sp_tables();
-        let mut x = 0x9E3779B97F4A7C15u64; // weyl-ish generator, deterministic
+        let mut next = stream(0x9E3779B97F4A7C15);
         for _ in 0..4096 {
-            x = x.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(1);
+            let x = next();
             let r = (x >> 16) as u32;
             let k = x & 0xFFFF_FFFF_FFFF; // 48-bit subkey
-            assert_eq!(Des::feistel(r, k, sp), Des::feistel_reference(r, k));
+            assert_eq!(feistel(r, split_subkey(k)), feistel_reference(r, k));
         }
         for r in [0u32, 1, 0x8000_0000, u32::MAX] {
             for k in [0u64, 0xFFFF_FFFF_FFFF, 0xAAAA_AAAA_AAAA] {
-                assert_eq!(Des::feistel(r, k, sp), Des::feistel_reference(r, k));
+                assert_eq!(feistel(r, split_subkey(k)), feistel_reference(r, k));
             }
         }
     }
 
     #[test]
     fn byte_perm_tables_match_permute() {
-        let mut x = 0x0123456789ABCDEFu64;
+        let mut next = stream(0x0123456789ABCDEF);
         for _ in 0..1024 {
-            x = x.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(0xB5);
-            assert_eq!(apply_byte_perm(ip_tables(), x), permute(x, 64, &IP));
-            assert_eq!(apply_byte_perm(fp_tables(), x), permute(x, 64, &FP));
-        }
-    }
-
-    #[test]
-    fn in_place_matches_allocating_path() {
-        let des = Des::new(b"8bytekey");
-        let msg = [0x3Cu8; 40];
-        for mode in [Mode::Ecb, Mode::Cbc, Mode::Cfb, Mode::Ofb] {
-            let whole = encrypt(&des, 0xFEED, mode, &msg);
-            let mut buf = msg;
-            encrypt_in_place(&des, 0xFEED, mode, &mut buf);
-            assert_eq!(&buf[..], &whole[..], "encrypt {mode:?}");
-            decrypt_in_place(&des, 0xFEED, mode, &mut buf);
-            assert_eq!(buf, msg, "decrypt {mode:?}");
+            let x = next();
+            assert_eq!(ip(x), permute(x, 64, &IP));
+            assert_eq!(fp(x), permute(x, 64, &FP));
         }
     }
 
@@ -829,6 +790,13 @@ mod tests {
     }
 
     #[test]
+    fn schedule_is_stored_once_in_128_bytes() {
+        // Every cached flow key carries one `Des`; its size is per-flow
+        // memory.
+        assert_eq!(std::mem::size_of::<Des>(), 128);
+    }
+
+    #[test]
     fn key_schedule_counter_increments() {
         let before = key_schedule_count();
         let _ = Des::new(b"8bytekey");
@@ -836,40 +804,18 @@ mod tests {
     }
 
     #[test]
-    fn blocks4_matches_scalar() {
-        let des = Des::new(b"8bytekey");
-        let mut blocks = [
-            0x0123456789ABCDEFu64,
-            0xFEDCBA9876543210,
-            0x0000000000000000,
-            0xFFFFFFFFFFFFFFFF,
-        ];
-        let expected: Vec<u64> = blocks
-            .iter()
-            .map(|&b| {
-                let mut bytes = b.to_be_bytes();
-                des.encrypt_block(&mut bytes);
-                u64::from_be_bytes(bytes)
-            })
-            .collect();
-        des.encrypt_blocks4(&mut blocks);
-        assert_eq!(blocks.to_vec(), expected);
-    }
-
-    #[test]
     fn ctr_matches_scalar_reference() {
         let des = Des::new(b"ctr key!");
         let base = 0xDEADBEEF_00000042u64;
-        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 200] {
+        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 200] {
             let plain: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
             let mut fast = plain.clone();
             ctr_xor_at(&des, base, 0, &mut fast);
-            // Scalar reference: block i of keystream is E(base + i).
+            // Reference: block i of keystream is E(base + i).
             let mut reference = plain.clone();
             for (i, part) in reference.chunks_mut(8).enumerate() {
-                let mut ks = base.wrapping_add(i as u64).to_be_bytes();
-                des.encrypt_block(&mut ks);
-                for (b, k) in part.iter_mut().zip(ks) {
+                let ks = fips_reference_block(b"ctr key!", base.wrapping_add(i as u64), false);
+                for (b, k) in part.iter_mut().zip(ks.to_be_bytes()) {
                     *b ^= k;
                 }
             }

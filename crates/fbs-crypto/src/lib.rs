@@ -3,7 +3,8 @@
 //! From-scratch implementations of every primitive the paper's CryptoLib
 //! dependency supplied (Mittra & Woo, SIGCOMM '97, §7.2):
 //!
-//! * [`des`] — DES (FIPS 46) with ECB/CBC/CFB/OFB modes (FIPS 81);
+//! * [`des`] — DES (FIPS 46): CBC (FIPS 81) for the paper suite and
+//!   counter mode for the fast one;
 //! * [`mod@md5`] — MD5 (RFC 1321);
 //! * [`mod@sha1`] — SHA-1 / "SHS" (FIPS 180);
 //! * [`mac`] — the paper's prefix-keyed MAC and the Poly1305 wrapper;

@@ -64,73 +64,155 @@ impl Md5 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while input.len() >= 64 {
-            let block: [u8; 64] = input[..64].try_into().unwrap();
-            self.compress(&block);
-            input = &input[64..];
+        let mut blocks = input.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte block"));
         }
-        if !input.is_empty() {
-            self.buf[..input.len()].copy_from_slice(input);
-            self.buf_len = input.len();
-        }
+        let rest = blocks.remainder();
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Finish and return the 16-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 56 mod 64, then the 64-bit bit count
-        // little-endian.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Append length without counting it.
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        self.compress(&block);
+        // Padding: 0x80 then zeros until 56 mod 64, then the 64-bit bit
+        // count little-endian.
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        let pad_len = (119 - self.buf_len) % 64 + 1;
+        self.update(&pad[..pad_len]);
+        debug_assert_eq!(self.buf_len, 56);
+        self.buf[56..].copy_from_slice(&bit_len.to_le_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; DIGEST_SIZE];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+        for (o, word) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&word.to_le_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes(chunk.try_into().unwrap());
-        }
-        let (mut a, mut b, mut c, mut d) =
-            (self.state[0], self.state[1], self.state[2], self.state[3]);
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+/// The MD5 compression function over one 64-byte block. Every step is
+/// written out with constant message, shift and sine indices, so the 64
+/// steps compile to straight-line code with no bounds checks and no
+/// per-step round dispatch.
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes(bytes.try_into().expect("4-byte word"));
     }
+    let [mut a, mut b, mut c, mut d] = *state;
+    // One step: a = b + ((a + f(b, c, d) + m[g] + K[i]) <<< S[i]).
+    macro_rules! step {
+        ($f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $g:literal, $i:literal) => {
+            $a = $b.wrapping_add(
+                $a.wrapping_add(m[$g].wrapping_add(K[$i]))
+                    .wrapping_add($f($b, $c, $d))
+                    .rotate_left(S[$i]),
+            );
+        };
+    }
+    step!(ff, a, b, c, d, 0, 0);
+    step!(ff, d, a, b, c, 1, 1);
+    step!(ff, c, d, a, b, 2, 2);
+    step!(ff, b, c, d, a, 3, 3);
+    step!(ff, a, b, c, d, 4, 4);
+    step!(ff, d, a, b, c, 5, 5);
+    step!(ff, c, d, a, b, 6, 6);
+    step!(ff, b, c, d, a, 7, 7);
+    step!(ff, a, b, c, d, 8, 8);
+    step!(ff, d, a, b, c, 9, 9);
+    step!(ff, c, d, a, b, 10, 10);
+    step!(ff, b, c, d, a, 11, 11);
+    step!(ff, a, b, c, d, 12, 12);
+    step!(ff, d, a, b, c, 13, 13);
+    step!(ff, c, d, a, b, 14, 14);
+    step!(ff, b, c, d, a, 15, 15);
+
+    step!(gg, a, b, c, d, 1, 16);
+    step!(gg, d, a, b, c, 6, 17);
+    step!(gg, c, d, a, b, 11, 18);
+    step!(gg, b, c, d, a, 0, 19);
+    step!(gg, a, b, c, d, 5, 20);
+    step!(gg, d, a, b, c, 10, 21);
+    step!(gg, c, d, a, b, 15, 22);
+    step!(gg, b, c, d, a, 4, 23);
+    step!(gg, a, b, c, d, 9, 24);
+    step!(gg, d, a, b, c, 14, 25);
+    step!(gg, c, d, a, b, 3, 26);
+    step!(gg, b, c, d, a, 8, 27);
+    step!(gg, a, b, c, d, 13, 28);
+    step!(gg, d, a, b, c, 2, 29);
+    step!(gg, c, d, a, b, 7, 30);
+    step!(gg, b, c, d, a, 12, 31);
+
+    step!(hh, a, b, c, d, 5, 32);
+    step!(hh, d, a, b, c, 8, 33);
+    step!(hh, c, d, a, b, 11, 34);
+    step!(hh, b, c, d, a, 14, 35);
+    step!(hh, a, b, c, d, 1, 36);
+    step!(hh, d, a, b, c, 4, 37);
+    step!(hh, c, d, a, b, 7, 38);
+    step!(hh, b, c, d, a, 10, 39);
+    step!(hh, a, b, c, d, 13, 40);
+    step!(hh, d, a, b, c, 0, 41);
+    step!(hh, c, d, a, b, 3, 42);
+    step!(hh, b, c, d, a, 6, 43);
+    step!(hh, a, b, c, d, 9, 44);
+    step!(hh, d, a, b, c, 12, 45);
+    step!(hh, c, d, a, b, 15, 46);
+    step!(hh, b, c, d, a, 2, 47);
+
+    step!(ii, a, b, c, d, 0, 48);
+    step!(ii, d, a, b, c, 7, 49);
+    step!(ii, c, d, a, b, 14, 50);
+    step!(ii, b, c, d, a, 5, 51);
+    step!(ii, a, b, c, d, 12, 52);
+    step!(ii, d, a, b, c, 3, 53);
+    step!(ii, c, d, a, b, 10, 54);
+    step!(ii, b, c, d, a, 1, 55);
+    step!(ii, a, b, c, d, 8, 56);
+    step!(ii, d, a, b, c, 15, 57);
+    step!(ii, c, d, a, b, 6, 58);
+    step!(ii, b, c, d, a, 13, 59);
+    step!(ii, a, b, c, d, 4, 60);
+    step!(ii, d, a, b, c, 11, 61);
+    step!(ii, c, d, a, b, 2, 62);
+    step!(ii, b, c, d, a, 9, 63);
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+}
+
+// The four round functions (RFC 1321 §3.4), with F and G in their
+// one-fewer-operation select form.
+#[inline(always)]
+fn ff(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+#[inline(always)]
+fn gg(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (d & (b ^ c))
+}
+
+#[inline(always)]
+fn hh(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn ii(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (b | !d)
 }
 
 /// One-shot MD5 of `data`.
@@ -203,6 +285,46 @@ mod tests {
             ctx.update(&data[..len / 2]);
             ctx.update(&data[len / 2..]);
             assert_eq!(ctx.finalize(), a, "len {len}");
+        }
+    }
+
+    /// The compression function as the RFC writes it: one loop, the round
+    /// picked by `i / 16`, message index and shift looked up per step.
+    fn reference_compress(state: &mut [u32; 4], block: &[u8; 64]) {
+        let m: Vec<u32> = block
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let [mut a, mut b, mut c, mut d] = *state;
+        for i in 0..64 {
+            let (f, g) = match i / 16 {
+                0 => ((b & c) | (!b & d), i),
+                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+                2 => (b ^ c ^ d, (3 * i + 5) % 16),
+                _ => (c ^ (b | !d), (7 * i) % 16),
+            };
+            let sum = a.wrapping_add(f).wrapping_add(K[i]).wrapping_add(m[g]);
+            (a, b, c, d) = (d, b.wrapping_add(sum.rotate_left(S[i])), b, c);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    #[test]
+    fn unrolled_compress_matches_reference_loop() {
+        let mut x = 0x0123_4567_89AB_CDEFu64;
+        let mut fast = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+        let mut slow = fast;
+        for _ in 0..512 {
+            let mut block = [0u8; 64];
+            for b in block.iter_mut() {
+                x = x.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(1);
+                *b = (x >> 56) as u8;
+            }
+            compress(&mut fast, &block);
+            reference_compress(&mut slow, &block);
+            assert_eq!(fast, slow);
         }
     }
 

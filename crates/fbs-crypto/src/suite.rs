@@ -34,7 +34,7 @@ pub enum CipherSuite {
     /// stays zero, exactly as the seed wrote it).
     #[default]
     Paper,
-    /// Fast classical profile: word-sliced (4-wide interleaved) DES in
+    /// Fast classical profile: word-sliced (8-wide interleaved) DES in
     /// counter mode + prefix-keyed MD5 with a cached key-prefix context.
     /// Same primitives as the paper, restructured for ILP.
     FastDes,
